@@ -18,10 +18,6 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
-/// The name this table carried before the serving layer grew around it;
-/// kept so existing imports keep compiling.
-pub type TunedDispatch = DispatchTable;
-
 /// How a dispatch table was produced: which selector, how much of the
 /// space it measured, and what regret it guarantees. Written as an
 /// optional header line by [`DispatchTable::save`]; tables from before

@@ -1,15 +1,13 @@
-//! Guided search — the alternative to exhaustive sweeping the paper
-//! discusses (and deliberately rejects for its analysis, calling guided
-//! search a form of selection bias). Provided as an extension so the
-//! trade-off can be quantified: how close does hill climbing get, with how
-//! few evaluations?
+//! Search heuristics: the zero-measurement configuration the serving
+//! layer falls back to, and the one-step neighborhood the hill-climbing
+//! [`HillSelector`](crate::HillSelector) moves through. Guided search is
+//! the alternative to exhaustive sweeping the paper discusses (and
+//! deliberately rejects for its analysis, calling it a form of selection
+//! bias); the climber quantifies the trade-off: how close does it get,
+//! with how few evaluations?
 
-use crate::record::Measurement;
-use crate::runner::SweepOptions;
-use crate::select::{run_search, HillSelector};
 use crate::space::ParamSpace;
-use ibcf_gpu_sim::{GpuSpec, TraceCache};
-use ibcf_kernels::{KernelConfig, PlanKey};
+use ibcf_kernels::KernelConfig;
 
 /// A configuration chosen without any sweep data — the zero-measurement
 /// fallback the serving layer uses when no dispatch table exists yet.
@@ -29,15 +27,6 @@ pub fn heuristic_config(n: usize) -> KernelConfig {
         nb: if n <= 8 { n } else { 4 },
         ..KernelConfig::baseline(n)
     }
-}
-
-/// Result of a guided search.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// Best measurement found.
-    pub best: Measurement,
-    /// Number of configurations evaluated.
-    pub evaluations: usize,
 }
 
 /// Neighbors of a configuration: one parameter moved one step within the
@@ -84,41 +73,13 @@ pub(crate) fn neighbors(space: &ParamSpace, c: &KernelConfig) -> Vec<KernelConfi
     out
 }
 
-/// Hill climbing with random restarts over the space restricted to one
-/// arithmetic mode and cache preference (the paper's Table I variables
-/// that actually move performance).
-///
-/// A thin wrapper over the shared selector driver ([`run_search`] with a
-/// [`HillSelector`]): the driver owns the measurement loop, the
-/// configuration dedup (restarts that re-pick a visited configuration
-/// reuse its measurement instead of inflating `evaluations`), and the
-/// plan cache that makes structural-neighbor revisits price-only.
-pub fn hill_climb(
-    space: &ParamSpace,
-    n: usize,
-    batch: usize,
-    spec: &GpuSpec,
-    restarts: usize,
-    seed: u64,
-) -> SearchResult {
-    let opts = SweepOptions {
-        batch,
-        ..Default::default()
-    };
-    let cache: TraceCache<PlanKey> = TraceCache::default();
-    let mut selector = HillSelector::new(restarts, seed);
-    let outcome = run_search(&mut selector, space, n, spec, &opts, &cache);
-    SearchResult {
-        best: outcome.best,
-        evaluations: outcome.evaluated,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::best::BestTable;
     use crate::runner::{sweep, SweepOptions};
+    use crate::select::{run_search, HillSelector};
+    use ibcf_gpu_sim::{GpuSpec, TraceCache};
 
     #[test]
     fn hill_climb_gets_close_to_exhaustive_with_fewer_evals() {
@@ -142,16 +103,27 @@ mod tests {
             .best_where(n, |m| !m.config.fast_math)
             .unwrap()
             .gflops;
-        let result = hill_climb(&space, n, batch, &spec, 4, 7);
+        let opts = SweepOptions {
+            batch,
+            ..Default::default()
+        };
+        let result = run_search(
+            &mut HillSelector::new(4, 7),
+            &space,
+            n,
+            &spec,
+            &opts,
+            &TraceCache::default(),
+        );
         assert!(
             result.best.gflops >= 0.9 * exhaustive,
             "hill climb {} vs exhaustive {exhaustive}",
             result.best.gflops
         );
         assert!(
-            result.evaluations < space.len_per_n(),
+            result.evaluated < space.len_per_n(),
             "guided search used {} >= grid {}",
-            result.evaluations,
+            result.evaluated,
             space.len_per_n()
         );
     }
@@ -170,11 +142,22 @@ mod tests {
             * space.chunked.len()
             * space.chunk_size.len()
             * space.unroll.len();
-        let result = hill_climb(&space, 16, 1024, &spec, 200, 3);
+        let opts = SweepOptions {
+            batch: 1024,
+            ..Default::default()
+        };
+        let result = run_search(
+            &mut HillSelector::new(200, 3),
+            &space,
+            16,
+            &spec,
+            &opts,
+            &TraceCache::default(),
+        );
         assert!(
-            result.evaluations <= restricted,
+            result.evaluated <= restricted,
             "evaluations {} exceed the {restricted} distinct configurations",
-            result.evaluations
+            result.evaluated
         );
     }
 

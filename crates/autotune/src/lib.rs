@@ -20,7 +20,7 @@ pub mod space;
 
 pub use analytic::{best_config, rank_candidates, score_config, AnalyticScore};
 pub use best::BestTable;
-pub use dispatch::{DispatchTable, TableProvenance, TunedDispatch};
+pub use dispatch::{DispatchTable, TableProvenance};
 pub use log::{
     grid_configs, merge_logs, MergeReport, ShardSpec, SweepLog, SweepLogEntry, SweepLogHeader,
     SweepLogWriter,

@@ -238,10 +238,13 @@ impl Selector for AnalyticSelector {
     }
 }
 
-/// Hill climbing with random restarts, restricted (like the legacy
-/// `hill_climb`) to the space's first arithmetic mode and cache
-/// preference — ported onto the selector driver so it shares the
-/// measurement loop, dedup, and log with every other strategy.
+/// Hill climbing with random restarts over the space restricted to its
+/// first arithmetic mode and cache preference (the paper's Table I
+/// variables that actually move performance). Runs on the selector
+/// driver, so it shares the measurement loop, the configuration dedup
+/// (restarts that re-pick a visited configuration reuse its measurement
+/// instead of inflating the evaluation count), and the log with every
+/// other strategy.
 #[derive(Debug, Clone)]
 pub struct HillSelector {
     restarts: usize,

@@ -16,10 +16,10 @@
 //! (`iter_with_setup`), so the numbers measure factorization only.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ibcf_core::host_batch::{factorize_batch, factorize_batch_blocked, factorize_batch_seq};
+use ibcf_core::host_batch::{factorize_batch, factorize_batch_seq};
 use ibcf_core::lane_batch::{LaneOrder, LaneWidth};
 use ibcf_core::spd::{fill_batch_spd, SpdKind};
-use ibcf_core::{factorize_batch_auto_backend, LaneBackend, Looking, Real};
+use ibcf_core::{factorize_batch_auto_backend, LaneBackend, Real};
 use ibcf_layout::{alloc_batch, AlignedVec, Canonical, Chunked, Interleaved, Layout};
 use std::hint::black_box;
 
@@ -107,32 +107,5 @@ fn bench_host_batch_f64(c: &mut Criterion) {
     bench_engines::<f64>(c, "f64");
 }
 
-fn bench_blocked_lookings(c: &mut Criterion) {
-    let n = 32;
-    let batch = 512;
-    let layout = Layout::Chunked(Chunked::new(n, batch, 64));
-    let mut base: AlignedVec<f32> = alloc_batch(&layout);
-    fill_batch_spd(&layout, &mut base, SpdKind::Wishart, 11);
-    let mut g = c.benchmark_group(format!("host_blocked_{n}x{n}x{batch}"));
-    g.sample_size(20);
-    for looking in Looking::ALL {
-        g.bench_function(looking.name(), |b| {
-            b.iter_with_setup(
-                || base.clone(),
-                |mut data| {
-                    black_box(factorize_batch_blocked(&layout, &mut data, 8, looking));
-                    data
-                },
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_host_batch_f32,
-    bench_host_batch_f64,
-    bench_blocked_lookings
-);
+criterion_group!(benches, bench_host_batch_f32, bench_host_batch_f64);
 criterion_main!(benches);

@@ -1,27 +1,21 @@
 //! Criterion benches for the dynamic-batching service's hot path.
 //!
 //! Two tiers:
-//! * `former_pack` — the batch former alone, in both ingest modes:
-//!   `fused` scatters each payload once straight into the aligned
-//!   interleaved group buffer (identity tail written in place), while
-//!   `staged` is the legacy canonical-stage-then-`pack_batch_host`
-//!   round trip kept for A/B reference;
+//! * `former_pack` — the batch former alone: each payload is scattered
+//!   once straight into the aligned interleaved group buffer (identity
+//!   tail written in place);
 //! * `service_end_to_end` — submit/factorize/reply through a running
 //!   in-process service with one worker, measuring sustained
 //!   matrices/second including queueing, forming, and reply routing.
-//!   Variants cross the fault hook (disabled vs enabled-but-inert, so
+//!   Variants cross the fault hook (disabled vs enabled-but-inert), so
 //!   a regression in the "zero-cost when disabled" claim shows up as a
-//!   gap) with the engine/ingest pairing: `simd_fused` is the default
-//!   fast path, `autovec_staged` the pre-SIMD pre-fusion baseline.
+//!   gap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ibcf_core::spd::{random_spd, SpdKind};
-use ibcf_core::LaneBackend;
-use ibcf_service::former::form_batch_mode;
+use ibcf_service::former::form_batch;
 use ibcf_service::request::{Payload, Pending, ReplySink};
-use ibcf_service::{
-    Dtype, EngineSelector, FaultHook, FaultPlan, IngestMode, Service, ServiceConfig,
-};
+use ibcf_service::{Dtype, EngineSelector, FaultHook, FaultPlan, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -58,14 +52,12 @@ fn bench_former(c: &mut Criterion) {
     g.sample_size(10);
     // Non-lane-multiple count exercises the identity-padding tail too.
     for count in [BATCH, BATCH + 7] {
-        for mode in [IngestMode::Fused, IngestMode::Staged] {
-            g.bench_function(format!("batch{count}_{}", mode.name()), |b| {
-                b.iter_with_setup(
-                    || pending_batch(N, count, &pool),
-                    |reqs| black_box(form_batch_mode(N, Dtype::F32, reqs, plan, mode)),
-                )
-            });
-        }
+        g.bench_function(format!("batch{count}_fused"), |b| {
+            b.iter_with_setup(
+                || pending_batch(N, count, &pool),
+                |reqs| black_box(form_batch(N, Dtype::F32, reqs, plan)),
+            )
+        });
     }
     g.finish();
 }
@@ -76,28 +68,14 @@ fn bench_service(c: &mut Criterion) {
     let pool: Vec<Payload> = (0..16).map(|i| Payload::F32(spd_f32(N, 200 + i))).collect();
     // The inert plan's rules never fire: any measurable gap versus the
     // disabled hook is pure per-check overhead on the hot path.
-    #[allow(clippy::type_complexity)]
-    let variants: [(&str, fn() -> FaultHook, LaneBackend, IngestMode); 3] = [
-        (
-            "hook_disabled_simd_fused",
-            FaultHook::disabled,
-            LaneBackend::Simd,
-            IngestMode::Fused,
-        ),
-        (
-            "hook_disabled_autovec_staged",
-            FaultHook::disabled,
-            LaneBackend::Autovec,
-            IngestMode::Staged,
-        ),
+    let variants = [
+        ("hook_disabled_simd_fused", FaultHook::disabled()),
         (
             "hook_inert_simd_fused",
-            || FaultHook::from_plan(FaultPlan::inert(1)),
-            LaneBackend::Simd,
-            IngestMode::Fused,
+            FaultHook::from_plan(FaultPlan::inert(1)),
         ),
     ];
-    for (label, hook, backend, ingest) in variants {
+    for (label, hook) in variants {
         g.bench_function(format!("submit{BATCH}_w1_{label}"), |b| {
             let service = Service::start(
                 ServiceConfig {
@@ -105,11 +83,10 @@ fn bench_service(c: &mut Criterion) {
                     max_batch: BATCH,
                     max_delay: Duration::from_micros(200),
                     queue_cap: 4 * BATCH,
-                    fault: hook(),
-                    ingest,
+                    fault: hook.clone(),
                     ..ServiceConfig::default()
                 },
-                EngineSelector::heuristic().with_backend(backend),
+                EngineSelector::heuristic(),
             );
             let client = service.client();
             b.iter(|| {

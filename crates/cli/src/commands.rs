@@ -1,10 +1,11 @@
 //! The `ibcf` subcommands.
 
 use crate::args::Args;
+use crate::serving::{service_config_of, EngineTiers, Served, Shape};
 use ibcf_autotune::{
     merge_logs, run_sizes, run_sizes_logged, sweep_sizes, sweep_sizes_logged, sweep_sizes_with,
-    BestTable, Dataset, LoggedSweepReport, Measurement, ParamSpace, SelectionReport, SelectorKind,
-    ShardSpec, StderrProgress, SweepLog, SweepOptions, SweepReport, TunedDispatch,
+    BestTable, Dataset, DispatchTable, LoggedSweepReport, Measurement, ParamSpace, SelectionReport,
+    SelectorKind, ShardSpec, StderrProgress, SweepLog, SweepOptions, SweepReport,
 };
 use ibcf_core::flops::cholesky_flops_std;
 use ibcf_core::host_batch::{factorize_batch, factorize_batch_seq, BatchReport};
@@ -74,26 +75,23 @@ commands:
             this table)
   serve     [--host H] [--port P] [--workers W] [--queue-cap Q]
             [--max-batch B] [--max-delay-us D] [--max-n N] [--dispatch F]
-            [--analytic G] [--shards N] [--procs N] [--shard-child]
+            [--analytic G] [--procs N] [--shard-child]
             [--policy hash|least-loaded] [--retry-after-us U]
-            [--hedge-after-us U] [--autovec] [--staged-ingest]
+            [--hedge-after-us U]
             run the dynamic-batching factorization service over TCP
             (engine plans fall back table -> analytic model for gpu G
-            -> heuristics; each tier is optional); --shards N > 1 runs a
-            health-checked in-process fleet behind a router keyed by
-            (n, dtype) — a full shard answers with a typed backpressure
-            reject carrying the --retry-after-us hint; --procs N runs
-            each shard as a supervised *child process* instead
-            (OS-level isolation: dead children are respawned with
-            backoff, in-flight requests fail over, per-shard circuit
-            breakers gate readmission); --hedge-after-us U duplicates a
-            straggling request to a second shard after U us (first
-            reply wins, the duplicate is suppressed); --shard-child is
-            the child's own mode: bind an ephemeral port, print
-            'shard-child listening on H:P', serve one shard; --autovec
-            pins workers to the autovectorized lane kernels (no
-            explicit SIMD); --staged-ingest restores the legacy
-            stage-then-pack copy instead of the fused zero-copy scatter
+            -> heuristics; each tier is optional); --procs N runs N
+            shards as supervised child processes behind a router keyed
+            by (n, dtype): dead children are respawned with backoff,
+            in-flight requests fail over, per-shard circuit breakers
+            gate readmission, and a full shard answers with a typed
+            backpressure reject carrying the --retry-after-us hint;
+            --hedge-after-us U duplicates a straggling request to a
+            second shard after U us (first reply wins, the duplicate is
+            suppressed); --shard-child is the child's own mode: bind an
+            ephemeral port, print 'shard-child listening on H:P', serve
+            one shard. IBCF_SIMD=off pins the lane kernels to the
+            autovectorized fallback (children inherit it)
   loadgen   [--addr H:P] [--sizes 16,24] [--dtype f32|f64]
             [--requests R] [--conns C] [--window W | --rate R/s]
             [--plant-bad K] [--seed S] [--deadline-us D] [--retry]
@@ -110,13 +108,12 @@ commands:
             [--hedge-after-us U] [--large-every K] [--large-n N]
             run loadgen against an in-process service under a seeded
             fault plan (worker-panic, slow-batch, queue-stall,
-            conn-drop, frame-corrupt, shard-kill, proc-kill, mixed,
-            inert) and verify the exactly-one-reply invariant: 0 lost,
-            0 duplicates; --shards N > 1 routes over an in-process
-            fleet and lets the plan kill whole shards mid-run
-            (failover must keep the invariant); --procs N > 1 runs the
-            shards as real child processes and lets the proc-kill plan
-            SIGKILL them mid-run — the run must show every kill
+            conn-drop, frame-corrupt, proc-kill, mixed, inert) and
+            verify the exactly-one-reply invariant: 0 lost,
+            0 duplicates; --shards N > 1 routes over N in-process
+            shards that all run the plan's faults; --procs N > 1 runs
+            the shards as real child processes and lets the proc-kill
+            plan SIGKILL them mid-run — the run must show every kill
             respawned, the fleet healthy again, and zero
             lost/duplicate replies (optionally hedged via
             --hedge-after-us)
@@ -688,7 +685,7 @@ pub fn tune(args: &Args) -> i32 {
             Err(e) => return fail(format!("{data}: {e}")),
         };
         let fast = if args.flag("fast") { None } else { Some(false) };
-        let dispatch = TunedDispatch::from_dataset(&ds, fast);
+        let dispatch = DispatchTable::from_dataset(&ds, fast);
         return finish_tune(dispatch, &out);
     }
     // Fast path: search now, on the simulator, with the chosen selector.
@@ -766,7 +763,7 @@ pub fn tune(args: &Args) -> i32 {
 }
 
 /// Validates, saves, and prints a freshly built dispatch table.
-fn finish_tune(dispatch: TunedDispatch, out: &str) -> i32 {
+fn finish_tune(dispatch: DispatchTable, out: &str) -> i32 {
     if dispatch.is_empty() {
         return fail("tuning produced an empty dispatch table");
     }
@@ -1095,98 +1092,41 @@ pub fn tiled_bench(args: &Args) -> i32 {
 }
 
 /// `ibcf serve`: run the dynamic-batching factorization service over
-/// TCP — one service, or (`--shards N`) a router-fronted in-process
-/// fleet with health-checked failover and typed backpressure.
+/// TCP — one service, or (`--procs N`) a router-fronted fleet of
+/// supervised shard processes with health-checked failover and typed
+/// backpressure.
 pub fn serve(args: &Args) -> i32 {
-    use ibcf_service::{
-        EngineSelector, Fleet, FleetConfig, InProcessShard, IngestMode, RoutePolicy, Router,
-        RouterConfig, Service, ServiceConfig, ShardBackend, TcpServer, SHARD_READY_PREFIX,
-    };
-    use std::sync::Arc;
-    let host = match args.get("host", "127.0.0.1".to_string()) {
-        Ok(h) => h,
+    use ibcf_service::{FaultHook, RoutePolicy, RouterConfig, TcpServer, SHARD_READY_PREFIX};
+    use std::io::Write as _;
+    let config = match service_config_of(args) {
+        Ok(c) => c,
         Err(e) => return fail(e),
     };
     let parsed = (
+        args.get("host", "127.0.0.1".to_string()),
         args.get("port", 7117u16),
-        args.get("workers", 1usize),
-        args.get("queue-cap", 8192usize),
-        args.get("max-batch", 1024usize),
-        args.get("max-delay-us", 1000u64),
-        args.get("max-n", 64usize),
-        args.get("shards", 1usize),
+        args.get("procs", 0usize),
         args.get("retry-after-us", 1000u32),
+        args.get("hedge-after-us", 0u64),
+        args.get("policy", "hash".to_string()),
     );
-    let (port, workers, queue_cap, max_batch, max_delay_us, max_n, shards, retry_after_us) =
-        match parsed {
-            (Ok(a), Ok(b), Ok(c), Ok(d), Ok(e), Ok(f), Ok(g), Ok(h)) => (a, b, c, d, e, f, g, h),
-            (Err(e), ..)
-            | (_, Err(e), ..)
-            | (_, _, Err(e), ..)
-            | (_, _, _, Err(e), ..)
-            | (_, _, _, _, Err(e), ..)
-            | (_, _, _, _, _, Err(e), ..)
-            | (_, _, _, _, _, _, Err(e), _)
-            | (.., Err(e)) => return fail(e),
-        };
-    if workers == 0 || max_batch == 0 || queue_cap == 0 || max_n == 0 || shards == 0 {
-        return fail("--workers, --max-batch, --queue-cap, --max-n and --shards must be positive");
-    }
-    let (procs, hedge_after_us) =
-        match (args.get("procs", 0usize), args.get("hedge-after-us", 0u64)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) | (_, Err(e)) => return fail(e),
-        };
-    if procs > 0 && shards > 1 {
-        return fail("--procs (child processes) and --shards (in-process) are mutually exclusive");
-    }
-    let shard_child = args.flag("shard-child");
-    if shard_child && (procs > 0 || shards > 1) {
-        return fail("--shard-child runs exactly one shard");
-    }
-    let policy: RoutePolicy = match args.get("policy", "hash".to_string()) {
-        Ok(name) => match name.parse() {
-            Ok(p) => p,
-            Err(e) => return fail(e),
-        },
+    let (host, port, procs, retry_after_us, hedge_after_us, policy) = match parsed {
+        (Ok(a), Ok(b), Ok(c), Ok(d), Ok(e), Ok(f)) => (a, b, c, d, e, f),
+        (Err(e), ..)
+        | (_, Err(e), ..)
+        | (_, _, Err(e), ..)
+        | (_, _, _, Err(e), ..)
+        | (_, _, _, _, Err(e), _)
+        | (.., Err(e)) => return fail(e),
+    };
+    let policy: RoutePolicy = match policy.parse() {
+        Ok(p) => p,
         Err(e) => return fail(e),
     };
-    let selector = match args.options.get("dispatch") {
-        None => EngineSelector::heuristic(),
-        Some(path) => match EngineSelector::load(Path::new(path)) {
-            Ok(s) => s,
-            Err(e) => return fail(format!("loading dispatch table {path}: {e}")),
-        },
-    };
-    // The analytic middle tier: sizes the table cannot answer are
-    // resolved by the model for the named GPU (at the paper's batch)
-    // before falling back to the heuristic.
-    let selector = match args.options.get("analytic") {
-        None => selector,
-        Some(name) => match GpuSpec::by_name(name) {
-            Some(spec) => selector.with_analytic(spec, 16_384),
-            None => return fail(format!("unknown gpu {name} for --analytic")),
-        },
-    };
-    let selector = if args.flag("autovec") {
-        selector.with_backend(LaneBackend::Autovec)
-    } else {
-        selector
-    };
-    let ingest = if args.flag("staged-ingest") {
-        IngestMode::Staged
-    } else {
-        IngestMode::Fused
-    };
-    let config = ServiceConfig {
-        workers,
-        queue_cap,
-        max_batch,
-        max_delay: std::time::Duration::from_micros(max_delay_us),
-        max_n,
-        ingest,
-        ..ServiceConfig::default()
-    };
+    let shard_child = args.flag("shard-child");
+    if shard_child && procs > 0 {
+        return fail("--shard-child runs exactly one shard");
+    }
     // A shard child binds an ephemeral port: its supervisor learns the
     // address from the stdout handshake, never from configuration.
     let bind_port = if shard_child { 0 } else { port };
@@ -1198,132 +1138,55 @@ pub fn serve(args: &Args) -> i32 {
         Ok(a) => a,
         Err(e) => return fail(e),
     };
-    let engine = match (selector.is_tuned(), selector.has_analytic()) {
-        (true, true) => "tuned+analytic",
-        (true, false) => "tuned",
-        (false, true) => "analytic",
-        (false, false) => "heuristic",
-    };
-    let simd = if args.flag("autovec") {
-        "autovec"
+    let shape = if procs > 0 {
+        Shape::Procs(procs)
     } else {
-        detect_isa().name()
+        Shape::Single
     };
-    use std::io::Write as _;
-    let hedge_after =
-        (hedge_after_us > 0).then(|| std::time::Duration::from_micros(hedge_after_us));
-    let (run, snap) = if shard_child {
-        let service = Service::start(config, selector);
-        let client = service.client();
+    let router = RouterConfig {
+        policy,
+        retry_after_us,
+        hedge_after: (hedge_after_us > 0).then(|| std::time::Duration::from_micros(hedge_after_us)),
+        ..RouterConfig::default()
+    };
+    let served = match Served::build(shape, config.clone(), &EngineTiers::of(args), router) {
+        Ok(s) => s,
+        Err(e) => return fail(e),
+    };
+    let (engine, simd) = (served.engine(), detect_isa().name());
+    let (workers, max_batch, queue_cap, max_n) = (
+        config.workers,
+        config.max_batch,
+        config.queue_cap,
+        config.max_n,
+    );
+    let max_delay_us = config.max_delay.as_micros();
+    if shard_child {
         println!("{SHARD_READY_PREFIX}{addr}");
-        std::io::stdout().flush().ok();
-        let run = server.run(client);
-        (run, service.shutdown())
-    } else if procs > 0 {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => return fail(format!("resolving own executable for shard children: {e}")),
-        };
-        let mut fleet_cfg = FleetConfig::new(exe, procs);
-        let mut child_args: Vec<String> = vec![
-            "serve".into(),
-            "--shard-child".into(),
-            "--workers".into(),
-            workers.to_string(),
-            "--queue-cap".into(),
-            queue_cap.to_string(),
-            "--max-batch".into(),
-            max_batch.to_string(),
-            "--max-delay-us".into(),
-            max_delay_us.to_string(),
-            "--max-n".into(),
-            max_n.to_string(),
-        ];
-        if let Some(p) = args.options.get("dispatch") {
-            child_args.extend(["--dispatch".into(), p.clone()]);
-        }
-        if let Some(g) = args.options.get("analytic") {
-            child_args.extend(["--analytic".into(), g.clone()]);
-        }
-        if args.flag("autovec") {
-            child_args.push("--autovec".into());
-        }
-        if args.flag("staged-ingest") {
-            child_args.push("--staged-ingest".into());
-        }
-        fleet_cfg.child_args = child_args;
-        let mut fleet = match Fleet::spawn(fleet_cfg) {
-            Ok(f) => f,
-            Err(e) => return fail(format!("spawning shard fleet: {e}")),
-        };
-        let router = Router::start(
-            fleet.backends(),
-            RouterConfig {
-                policy,
-                retry_after_us,
-                hedge_after,
-                ..RouterConfig::default()
-            },
-        );
+    } else if let Some(fleet) = served.procs() {
         println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
+            "serving on {addr} ({engine} engine, simd {simd}, \
              {procs} shard process(es) x {workers} worker(s), \
              {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})",
-            ingest.name()
+             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})"
         );
         println!("fleet pids: {:?}", fleet.child_pids());
-        std::io::stdout().flush().ok();
-        let run = server.run(router.client());
-        // Respawns stop first, then each child drains gracefully and is
-        // reaped — serve --procs never leaves orphan processes behind.
-        fleet.stop_supervisor();
-        let snap = router.shutdown();
-        println!(
-            "fleet: {} respawn(s); all shard processes reaped",
-            fleet.respawns()
-        );
-        (run, snap)
-    } else if shards > 1 {
-        let backends: Vec<Arc<dyn ShardBackend>> = (0..shards)
-            .map(|i| {
-                let service = Service::start(config.clone(), selector.clone());
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
-            })
-            .collect();
-        let router = Router::start(
-            backends,
-            RouterConfig {
-                policy,
-                retry_after_us,
-                hedge_after,
-                ..RouterConfig::default()
-            },
-        );
-        println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
-             {shards} shards x {workers} worker(s), \
-             {policy:?} routing, retry-after {retry_after_us} us, batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}/shard, n <= {max_n})",
-            ingest.name()
-        );
-        std::io::stdout().flush().ok();
-        let run = server.run(router.client());
-        (run, router.shutdown())
     } else {
-        let service = Service::start(config, selector);
-        let client = service.client();
         println!(
-            "serving on {addr} ({engine} engine, simd {simd}, {} ingest, \
+            "serving on {addr} ({engine} engine, simd {simd}, \
              {workers} worker(s), batch <= {max_batch}, \
-             deadline {max_delay_us} us, queue {queue_cap}, n <= {max_n})",
-            ingest.name()
+             deadline {max_delay_us} us, queue {queue_cap}, n <= {max_n})"
         );
-        std::io::stdout().flush().ok();
-        let run = server.run(client);
-        (run, service.shutdown())
-    };
+    }
+    std::io::stdout().flush().ok();
+    let run = served
+        .spawn_server(server, FaultHook::disabled())
+        .join()
+        .expect("server thread");
+    let (snap, respawns) = served.shutdown();
+    if let Some(respawns) = respawns {
+        println!("fleet: {respawns} respawn(s); all shard processes reaped");
+    }
     if let Err(e) = run {
         return fail(format!("server loop: {e}"));
     }
@@ -1479,11 +1342,9 @@ pub fn loadgen(args: &Args) -> i32 {
 /// frame corruption) from per-site logical clocks, not wall time.
 pub fn chaos(args: &Args) -> i32 {
     use ibcf_service::{
-        ArrivalMode, Dtype, EngineSelector, FaultHook, FaultPlan, Fleet as ProcFleet, FleetConfig,
-        InProcessShard, LoadgenConfig, RetryPolicy, Router, RouterConfig, Service, ServiceConfig,
-        ShardBackend, TcpConn, TcpServer,
+        ArrivalMode, Dtype, FaultHook, FaultPlan, LoadgenConfig, RetryPolicy, RouterConfig,
+        ServiceConfig, TcpConn, TcpServer,
     };
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
     let sizes = match args
         .options
@@ -1565,6 +1426,17 @@ pub fn chaos(args: &Args) -> i32 {
         Err(e) => return fail(e),
     };
     let hook = FaultHook::from_plan(plan);
+    // One service, an in-process fleet whose shards run the plan's
+    // faults, or a process fleet whose supervisor runs the plan's
+    // SIGKILLs (its children run without faults, so every observed
+    // failure there is genuine process death).
+    let shape = if procs > 0 {
+        Shape::Procs(procs)
+    } else if shards > 1 {
+        Shape::InProcess(shards)
+    } else {
+        Shape::Single
+    };
     let service_config = ServiceConfig {
         workers,
         max_batch,
@@ -1572,65 +1444,19 @@ pub fn chaos(args: &Args) -> i32 {
         fault: hook.clone(),
         ..ServiceConfig::default()
     };
-    // One service, a routed in-process fleet the plan can kill whole
-    // shards of, or a process fleet the plan can SIGKILL children of.
-    enum Fleet {
-        Single(Service),
-        Routed(Router),
-        Procs(ProcFleet, Router),
-    }
-    let fleet = if procs > 0 {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => return fail(format!("resolving own executable for shard children: {e}")),
-        };
-        let mut fleet_cfg = FleetConfig::new(exe, procs);
-        // The children run *without* fault injection: the proc-kill
-        // plan fires supervisor-side (real SIGKILL), so every observed
-        // failure is genuine process death, not an in-process fault.
-        fleet_cfg.child_args = vec![
-            "serve".into(),
-            "--shard-child".into(),
-            "--workers".into(),
-            workers.to_string(),
-            "--max-batch".into(),
-            max_batch.to_string(),
-            "--max-delay-us".into(),
-            "500".into(),
-        ];
-        fleet_cfg.fault = hook.clone();
-        let fleet = match ProcFleet::spawn(fleet_cfg) {
-            Ok(f) => f,
-            Err(e) => return fail(format!("spawning shard fleet: {e}")),
-        };
-        let router = Router::start(
-            fleet.backends(),
-            RouterConfig {
-                health_interval: Duration::from_millis(2),
-                fault: hook.clone(),
-                hedge_after: (hedge_after_us > 0).then(|| Duration::from_micros(hedge_after_us)),
-                ..RouterConfig::default()
-            },
-        );
-        Fleet::Procs(fleet, router)
-    } else if shards > 1 {
-        let backends: Vec<Arc<dyn ShardBackend>> = (0..shards)
-            .map(|i| {
-                let service = Service::start(service_config.clone(), EngineSelector::heuristic());
-                Arc::new(InProcessShard::new(format!("shard-{i}"), service))
-                    as Arc<dyn ShardBackend>
-            })
-            .collect();
-        Fleet::Routed(Router::start(
-            backends,
-            RouterConfig {
-                health_interval: Duration::from_millis(2),
-                fault: hook.clone(),
-                ..RouterConfig::default()
-            },
-        ))
-    } else {
-        Fleet::Single(Service::start(service_config, EngineSelector::heuristic()))
+    let router_config = RouterConfig {
+        health_interval: Duration::from_millis(2),
+        hedge_after: (hedge_after_us > 0).then(|| Duration::from_micros(hedge_after_us)),
+        ..RouterConfig::default()
+    };
+    let served = match Served::build(
+        shape,
+        service_config,
+        &EngineTiers::default(),
+        router_config,
+    ) {
+        Ok(s) => s,
+        Err(e) => return fail(e),
     };
     let server = match TcpServer::bind("127.0.0.1:0") {
         Ok(s) => s,
@@ -1640,32 +1466,19 @@ pub fn chaos(args: &Args) -> i32 {
         Ok(a) => a.to_string(),
         Err(e) => return fail(e),
     };
-    let server_hook = hook.clone();
-    let server_thread = match &fleet {
-        Fleet::Single(service) => {
-            let client = service.client();
-            std::thread::spawn(move || server.run_with_faults(client, server_hook))
-        }
-        Fleet::Routed(router) | Fleet::Procs(_, router) => {
-            let client = router.client();
-            std::thread::spawn(move || server.run_with_faults(client, server_hook))
-        }
+    let server_thread = served.spawn_server(server, hook.clone());
+    let (total, what) = match shape {
+        Shape::Procs(n) => (n, "shard processes"),
+        Shape::InProcess(n) => (n, "shards"),
+        Shape::Single => (1, "shard"),
     };
-    if procs > 0 {
-        println!(
-            "chaos: plan {plan_name} seed {seed}, {requests} requests \
-             ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
-             {procs} shard process(es), {workers} worker(s)/shard, batch <= {max_batch}"
-        );
-        if hedge_after_us > 0 {
-            println!("       hedging stragglers after {hedge_after_us} us");
-        }
-    } else {
-        println!(
-            "chaos: plan {plan_name} seed {seed}, {requests} requests \
-             ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
-             {shards} shard(s), {workers} worker(s), batch <= {max_batch}"
-        );
+    println!(
+        "chaos: plan {plan_name} seed {seed}, {requests} requests \
+         ({plant_bad} planted non-SPD), sizes {sizes:?}, {conns} conn(s), \
+         {total} {what}, {workers} worker(s)/shard, batch <= {max_batch}"
+    );
+    if hedge_after_us > 0 {
+        println!("       hedging stragglers after {hedge_after_us} us");
     }
     if large_every > 0 {
         println!("       every {large_every}th request is large (n = {large_n}, task-graph path)");
@@ -1696,30 +1509,31 @@ pub fn chaos(args: &Args) -> i32 {
     // good, after which probes legitimately fail forever. Deadline-based
     // polling, no fixed sleeps: every budgeted SIGKILL fired, every
     // killed child respawned, every shard alive and probing healthy.
-    let proc_recovered = match &fleet {
-        Fleet::Procs(proc_fleet, router) => {
-            let expected_kills: u64 = if plan_name == "proc-kill" { 2 } else { 0 };
-            let client = router.client();
-            let deadline = Instant::now() + Duration::from_secs(15);
-            Some(loop {
-                let kills_done = proc_fleet.proc_kills() >= expected_kills;
-                let respawned = proc_fleet.respawns() >= proc_fleet.proc_kills();
-                let alive = proc_fleet.all_children_alive();
-                let healthy = client
-                    .stats()
-                    .shards
-                    .is_some_and(|s| !s.is_empty() && s.iter().all(|sh| sh.healthy));
-                if kills_done && respawned && alive && healthy {
-                    break true;
-                }
-                if Instant::now() >= deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            })
+    let recovered = served.procs().map(|fleet| {
+        let expected_kills: u64 = if plan_name == "proc-kill" { 2 } else { 0 };
+        let deadline = Instant::now() + Duration::from_secs(15);
+        loop {
+            let kills_done = fleet.proc_kills() >= expected_kills;
+            let respawned = fleet.respawns() >= fleet.proc_kills();
+            let alive = fleet.all_children_alive();
+            let healthy = served
+                .stats()
+                .shards
+                .is_some_and(|s| !s.is_empty() && s.iter().all(|sh| sh.healthy));
+            if kills_done && respawned && alive && healthy {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        _ => None,
-    };
+    });
+    // The live healthy picture, before the server drain flattens it.
+    let survivors = served
+        .stats()
+        .shards
+        .map(|s| s.iter().filter(|sh| sh.healthy).count());
     // Stop the server. The shutdown connection itself can be a fault
     // victim, so keep asking until the run loop actually exits.
     let stop_start = Instant::now();
@@ -1733,42 +1547,11 @@ pub fn chaos(args: &Args) -> i32 {
         return fail("chaos server did not drain within 30 s");
     }
     let run = server_thread.join().expect("chaos server thread");
-    // For a routed fleet, capture the live healthy/killed picture before
-    // shutdown flattens it, then fold in the router counters.
-    let (snap, routing, proc_info) = match fleet {
-        Fleet::Single(service) => (service.shutdown(), None, None),
-        Fleet::Routed(router) => {
-            let kills = router.kills();
-            let failovers = router.failovers();
-            let backpressured = router.backpressured();
-            // The loadgen's final stats fetch ran before shutdown
-            // drained the fleet, so its shard list is the live picture.
-            let survivors = report
-                .server
-                .shards
-                .as_ref()
-                .map_or(0, |s| s.iter().filter(|sh| sh.healthy).count());
-            (
-                router.shutdown(),
-                Some((kills, failovers, backpressured, survivors)),
-                None,
-            )
-        }
-        Fleet::Procs(mut proc_fleet, router) => {
-            let recovered = proc_recovered.unwrap_or(false);
-            let proc_kills = proc_fleet.proc_kills();
-            let respawns = proc_fleet.respawns();
-            proc_fleet.stop_supervisor();
-            let failovers = router.failovers();
-            let backpressured = router.backpressured();
-            let snap = router.shutdown();
-            (
-                snap,
-                Some((proc_kills, failovers, backpressured, procs)),
-                Some((proc_kills, respawns, recovered)),
-            )
-        }
-    };
+    let routing = served
+        .router()
+        .map(|router| (router.failovers(), router.backpressured()));
+    let proc_kills = served.procs().map_or(0, |fleet| fleet.proc_kills());
+    let (snap, respawns) = served.shutdown();
     if let Err(e) = run {
         return fail(format!("chaos server loop: {e}"));
     }
@@ -1780,19 +1563,14 @@ pub fn chaos(args: &Args) -> i32 {
         snap.worker_restarts,
         snap.deadline_expired
     );
-    if let Some((kills, failovers, backpressured, survivors)) = routing {
-        let total = if procs > 0 { procs } else { shards };
-        let what = if procs > 0 {
-            "shard processes"
-        } else {
-            "shards"
-        };
+    if let Some((failovers, backpressured)) = routing {
         println!(
-            "fleet: {total} {what}, {kills} killed by the plan, {survivors} healthy at end, \
-             {failovers} failovers, {backpressured} backpressure rejects"
+            "fleet: {total} {what}, {proc_kills} killed by the plan, {} healthy at end, \
+             {failovers} failovers, {backpressured} backpressure rejects",
+            survivors.unwrap_or(0)
         );
     }
-    if let Some((proc_kills, respawns, recovered)) = proc_info {
+    if let (Some(respawns), Some(recovered)) = (respawns, recovered) {
         println!(
             "processes: {proc_kills} SIGKILLed, {respawns} respawned, fleet {}",
             if recovered {
@@ -1833,35 +1611,29 @@ pub fn chaos(args: &Args) -> i32 {
             snap.worker_crashes, snap.worker_restarts
         ));
     }
-    match routing {
-        Some((kills, ..)) if plan_name == "shard-kill" && kills == 0 => {
-            failures.push("shard-kill plan never killed a shard".into());
+    if survivors == Some(0) {
+        failures.push("no shard survived the run (the last one must be immune)".into());
+    }
+    match (respawns, recovered) {
+        (Some(respawns), Some(recovered)) => {
+            if plan_name == "proc-kill" && proc_kills < 2 {
+                failures.push(format!(
+                    "proc-kill plan SIGKILLed only {proc_kills} processes (budget is 2)"
+                ));
+            }
+            if respawns < proc_kills {
+                failures.push(format!(
+                    "{proc_kills} processes killed but only {respawns} respawned"
+                ));
+            }
+            if !recovered {
+                failures.push("fleet did not recover (children dead or unhealthy at end)".into());
+            }
         }
-        Some((_, _, _, 0)) => {
-            failures.push("no shard survived the run (the last one must be immune)".into());
-        }
-        None if plan_name == "shard-kill" => {
-            failures.push("shard-kill plan needs --shards > 1 to have anything to kill".into());
+        _ if plan_name == "proc-kill" => {
+            failures.push("proc-kill plan needs --procs > 1 to have processes to kill".into());
         }
         _ => {}
-    }
-    if plan_name == "proc-kill" && proc_info.is_none() {
-        failures.push("proc-kill plan needs --procs > 1 to have processes to kill".into());
-    }
-    if let Some((proc_kills, respawns, recovered)) = proc_info {
-        if plan_name == "proc-kill" && proc_kills < 2 {
-            failures.push(format!(
-                "proc-kill plan SIGKILLed only {proc_kills} processes (budget is 2)"
-            ));
-        }
-        if respawns < proc_kills {
-            failures.push(format!(
-                "{proc_kills} processes killed but only {respawns} respawned"
-            ));
-        }
-        if !recovered {
-            failures.push("fleet did not recover (children dead or unhealthy at end)".into());
-        }
     }
     if failures.is_empty() {
         println!(

@@ -65,6 +65,7 @@
 
 mod args;
 mod commands;
+mod serving;
 
 use args::Args;
 

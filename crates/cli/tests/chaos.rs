@@ -80,35 +80,24 @@ fn chaos_conn_drop_reconnects_and_resubmits() {
 }
 
 #[test]
-fn chaos_shard_kill_fails_over_without_losing_replies() {
-    let stdout = assert_invariant("shard-kill", "42", &["--shards", "3"]);
-    // The command enforces >= 1 kill and >= 1 survivor; check the fleet
-    // report surfaced both so an inert plan (or a router that killed
-    // everything) can't pass.
+fn chaos_mixed_plan_over_a_routed_fleet_stays_clean() {
+    // The full fault mix (panics, stalls, drops, corruption) routed over
+    // 3 shards: cross-layer interference must not break the invariant.
+    let stdout = assert_invariant("mixed", "1009", &["--shards", "3"]);
+    // The command enforces >= 1 survivor; check the fleet report
+    // surfaced the fleet and its per-shard latency breakdown.
     let fleet = stdout
         .lines()
         .find(|l| l.starts_with("fleet: 3 shards"))
         .unwrap_or_else(|| panic!("no fleet summary line: {stdout}"));
     assert!(
-        !fleet.contains("0 killed"),
-        "shard-kill plan killed nothing: {stdout}"
-    );
-    assert!(
-        !fleet.contains("0 healthy at end"),
+        !fleet.contains(" 0 healthy at end"),
         "no shard survived: {stdout}"
     );
-    // Per-shard breakdown made it into the load report.
     assert!(
         stdout.contains("shard shard-0") && stdout.contains("p50/p99"),
         "per-shard latency lines missing: {stdout}"
     );
-}
-
-#[test]
-fn chaos_mixed_plan_over_a_routed_fleet_stays_clean() {
-    // The full fault mix (panics, stalls, drops, corruption) routed over
-    // 3 shards: cross-layer interference must not break the invariant.
-    assert_invariant("mixed", "1009", &["--shards", "3"]);
 }
 
 #[test]

@@ -7,7 +7,6 @@
 //! 2. the **CPU baseline**: a rayon-parallel batch factorization in the
 //!    spirit of MKL's compact/batch routines.
 
-use crate::blocked::{potrf_blocked, Looking};
 use crate::error::CholeskyError;
 use crate::reference::potrf_unblocked;
 use crate::scalar::Real;
@@ -92,60 +91,6 @@ pub fn factorize_batch<T: Real, L: BatchLayout + Sync>(layout: &L, data: &mut [T
     BatchReport { failures }
 }
 
-/// Factorizes every live matrix with the blocked algorithm (tile size `nb`,
-/// given looking order), in parallel over matrices. This is the host mirror
-/// of the tiled device kernels.
-pub fn factorize_batch_blocked<T: Real, L: BatchLayout + Sync>(
-    layout: &L,
-    data: &mut [T],
-    nb: usize,
-    looking: Looking,
-) -> BatchReport {
-    let n = layout.n();
-    let batch = layout.batch();
-    assert!(data.len() >= layout.len(), "batch buffer too short");
-    // The blocked routine writes through the layout directly; give each
-    // worker an independent gather/scatter copy to keep the parallel path
-    // safe, then write back.
-    let shared = SyncSlice::new(data);
-    let mut failures: Vec<(usize, CholeskyError)> = (0..batch)
-        .into_par_iter()
-        .filter_map(|mat| {
-            // Local single-matrix canonical layout and buffer.
-            let local = ibcf_layout::Canonical::new(n, 1);
-            let mut buf = vec![T::ZERO; local.len()];
-            // The tile kernels only ever read and write at or below the
-            // diagonal, so the round trip copies the lower triangle only.
-            for col in 0..n {
-                for row in col..n {
-                    // SAFETY: disjoint per matrix (injective layout).
-                    buf[local.addr(0, row, col)] =
-                        unsafe { shared.read(layout.addr(mat, row, col)) };
-                }
-            }
-            match potrf_blocked(&local, &mut buf, 0, nb, looking) {
-                Ok(()) => {
-                    for col in 0..n {
-                        for row in col..n {
-                            // SAFETY: as above.
-                            unsafe {
-                                shared.write(
-                                    layout.addr(mat, row, col),
-                                    buf[local.addr(0, row, col)],
-                                );
-                            }
-                        }
-                    }
-                    None
-                }
-                Err(e) => Some((mat, e)),
-            }
-        })
-        .collect();
-    failures.sort_by_key(|&(mat, _)| mat);
-    BatchReport { failures }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,26 +133,6 @@ mod tests {
             let err = batch_reconstruction_error(&layout, &orig, &data);
             assert!(err < 1e-13, "{:?}: {err}", layout.kind());
         }
-    }
-
-    #[test]
-    fn blocked_batch_matches_unblocked_batch() {
-        let n = 11;
-        let batch = 40;
-        let layout = Chunked::new(n, batch, 32);
-        let mut a = vec![0.0f64; layout.len()];
-        fill_batch_spd(&layout, &mut a, SpdKind::DiagDominant, 8);
-        let mut b = a.clone();
-        assert!(factorize_batch(&layout, &mut a).all_ok());
-        for looking in Looking::ALL {
-            let mut c = b.clone();
-            assert!(factorize_batch_blocked(&layout, &mut c, 4, looking).all_ok());
-            for (x, y) in a.iter().zip(&c) {
-                assert!((x - y).abs() < 1e-9, "{looking:?}");
-            }
-        }
-        // b itself untouched (we cloned); silence the unused warning.
-        let _ = &mut b;
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub struct EnginePlan {
     pub order: LaneOrder,
     /// Matrices per lockstep group.
     pub width: LaneWidth,
-    /// Lane arithmetic backend: runtime-dispatched SIMD (default) or the
-    /// forced autovectorized path. Bitwise-identical either way.
+    /// Lane arithmetic backend: always [`LaneBackend::Auto`], the
+    /// runtime-dispatched SIMD path (`IBCF_SIMD=off` forces the
+    /// autovectorized fallback process-wide). Bitwise-identical either way.
     pub backend: LaneBackend,
 }
 
@@ -97,7 +98,6 @@ impl AnalyticTier {
 pub struct EngineSelector {
     table: Option<DispatchTable>,
     analytic: Option<AnalyticTier>,
-    backend: LaneBackend,
 }
 
 impl EngineSelector {
@@ -134,15 +134,6 @@ impl EngineSelector {
         self
     }
 
-    /// Forces every plan this selector produces onto `backend` — the
-    /// `serve --autovec` escape hatch and the A/B axis of the service
-    /// benches. The default is [`LaneBackend::Auto`] (SIMD where the
-    /// machine has it).
-    pub fn with_backend(mut self, backend: LaneBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// `true` if a sweep backs this selector.
     pub fn is_tuned(&self) -> bool {
         self.table.is_some()
@@ -161,10 +152,7 @@ impl EngineSelector {
             .and_then(|t| t.config_for(n))
             .or_else(|| self.analytic.as_ref().map(|a| a.config_for(n)))
             .unwrap_or_else(|| heuristic_config(n));
-        EnginePlan {
-            backend: self.backend,
-            ..plan_of(&config)
-        }
+        plan_of(&config)
     }
 }
 
@@ -243,15 +231,5 @@ mod tests {
         );
         let sel = EngineSelector::from_table(table).with_analytic(GpuSpec::p100(), 4096);
         assert_eq!(sel.plan(16).kind, LayoutKind::Interleaved);
-    }
-
-    #[test]
-    fn with_backend_threads_into_every_plan() {
-        let sel = EngineSelector::heuristic();
-        assert_eq!(sel.plan(16).backend, LaneBackend::Auto);
-        let sel = sel.with_backend(LaneBackend::Autovec);
-        for n in [4usize, 16, 48] {
-            assert_eq!(sel.plan(n).backend, LaneBackend::Autovec, "n={n}");
-        }
     }
 }

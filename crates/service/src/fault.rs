@@ -33,15 +33,12 @@ pub enum FaultSite {
     /// A connection writer about to write one reply frame (drops,
     /// corruption, truncation).
     ConnWrite = 3,
-    /// The router's health loop visiting one shard slot (whole-shard
-    /// kills). Ticks once per shard per health round.
-    RouterShard = 4,
     /// The fleet supervisor visiting one shard *process* (SIGKILL of a
     /// live OS child). Ticks once per shard per supervision round.
-    ShardProcess = 5,
+    ShardProcess = 4,
 }
 
-const SITES: usize = 6;
+const SITES: usize = 5;
 
 /// What the injector asks the passing thread to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,12 +55,6 @@ pub enum FaultAction {
     /// Write only the first half of the frame, then drop the connection
     /// (a torn frame: the peer sees EOF mid-frame, a typed error).
     TruncateFrame,
-    /// Kill the shard the router's health loop is visiting: admission
-    /// stops (already-admitted work still drains) and the router must
-    /// fail traffic over to the surviving shards. The router refuses to
-    /// kill the last healthy shard, so a budgeted plan can never take
-    /// the whole fleet down.
-    KillShard,
     /// SIGKILL the shard *process* the fleet supervisor is visiting: the
     /// OS reclaims it instantly, every request in flight on its
     /// connection comes back as a typed `ShardLost` (the router resubmits
@@ -111,7 +102,6 @@ impl FaultPlan {
         "queue-stall",
         "conn-drop",
         "frame-corrupt",
-        "shard-kill",
         "proc-kill",
         "mixed",
         "inert",
@@ -125,7 +115,6 @@ impl FaultPlan {
             "queue-stall" => Ok(Self::queue_stall(seed)),
             "conn-drop" => Ok(Self::conn_drop(seed)),
             "frame-corrupt" => Ok(Self::frame_corrupt(seed)),
-            "shard-kill" => Ok(Self::shard_kill(seed)),
             "proc-kill" => Ok(Self::proc_kill(seed)),
             "mixed" => Ok(Self::mixed(seed)),
             "inert" => Ok(Self::inert(seed)),
@@ -241,25 +230,6 @@ impl FaultPlan {
                     action: FaultAction::TruncateFrame,
                 },
             ],
-        }
-    }
-
-    /// Kills whole shards from the router's health loop, twice: enough
-    /// to prove failover re-routes live traffic, and one below the
-    /// fleet size the chaos harness runs with (the router additionally
-    /// refuses to kill the last healthy shard).
-    pub fn shard_kill(seed: u64) -> FaultPlan {
-        let every = 20 + splitmix(seed) % 12;
-        FaultPlan {
-            seed,
-            name: "shard-kill",
-            rules: vec![Rule {
-                site: FaultSite::RouterShard,
-                every,
-                offset: splitmix(seed ^ 12) % every,
-                max: 2,
-                action: FaultAction::KillShard,
-            }],
         }
     }
 
@@ -521,7 +491,7 @@ mod tests {
     #[test]
     fn proc_kill_fires_only_at_the_process_site_within_budget() {
         let hook = FaultHook::from_plan(FaultPlan::proc_kill(42));
-        assert!(firings(&hook, FaultSite::RouterShard, 10_000).is_empty());
+        assert!(firings(&hook, FaultSite::WorkerBatch, 10_000).is_empty());
         let fired = firings(&hook, FaultSite::ShardProcess, 10_000);
         assert_eq!(fired.len(), 2, "proc-kill budget is 2");
         assert!(fired

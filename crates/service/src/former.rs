@@ -13,11 +13,8 @@
 //! [`EnginePlan`] chose, and the tail is identity-padded in place — so
 //! the worker's factorization runs the in-place lane engine with every
 //! group full and no scalar tail, and no element of a payload is copied
-//! more than once. The original stage-into-canonical-then-
-//! [`pack_batch_host`](ibcf_kernels::pack_batch_host) round trip (one
-//! extra full copy of the batch) is kept as [`IngestMode::Staged`]: it is
-//! the bitwise reference the fused path is property-tested against, and a
-//! live A/B axis for the service benches.
+//! more than once. The property tests pin it bitwise to the reference
+//! stage-into-canonical-then-`pack_batch_host` round trip.
 
 use crate::engine::{EnginePlan, EngineSelector};
 use crate::fault::{FaultAction, FaultHook, FaultSite};
@@ -25,35 +22,11 @@ use crate::queue::IngestQueue;
 use crate::request::{Dtype, FactorReply, Outcome, Payload, Pending, RejectReason};
 use crate::stats::ServiceStats;
 use ibcf_core::Real;
-use ibcf_kernels::pack_batch_host;
-use ibcf_layout::{alloc_batch, scatter_batch_affine, AlignedVec, BatchLayout, Canonical, Layout};
+use ibcf_layout::{alloc_batch, scatter_batch_affine, AlignedVec, BatchLayout, Layout};
 use std::collections::HashMap;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How a flushed group becomes a packed batch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Scatter each payload once, directly into the aligned lane-group
-    /// buffer in the plan's interleave; identity-pad the tail in place.
-    #[default]
-    Fused,
-    /// Legacy reference path: stage payloads into a canonical buffer,
-    /// identity-pad, then transcode the whole batch with
-    /// [`pack_batch_host`] — one extra full copy.
-    Staged,
-}
-
-impl IngestMode {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            IngestMode::Fused => "fused",
-            IngestMode::Staged => "staged",
-        }
-    }
-}
 
 /// Batch-forming policy.
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +39,6 @@ pub struct FormerConfig {
     /// worker has a chance to finish inside the deadline instead of the
     /// former holding the request until the deadline itself.
     pub deadline_margin: Duration,
-    /// How flushed groups are packed ([`IngestMode::Fused`] by default).
-    pub ingest: IngestMode,
 }
 
 impl Default for FormerConfig {
@@ -76,7 +47,6 @@ impl Default for FormerConfig {
             max_batch: 1024,
             max_delay: Duration::from_millis(1),
             deadline_margin: Duration::from_micros(200),
-            ingest: IngestMode::Fused,
         }
     }
 }
@@ -118,29 +88,23 @@ pub struct FormedBatch {
     pub slots: usize,
 }
 
-/// Lane-rounded slot count for `reqs.len()` live requests under `plan`.
-fn slot_count<T: Real>(reqs: &[Pending], plan: EnginePlan) -> usize {
-    let lanes = plan.lanes::<T>();
-    reqs.len().div_ceil(lanes) * lanes
-}
-
-/// The fused (zero-copy) pack path: scatters each request's payload
-/// **once**, directly into a fresh 128-byte-aligned buffer already in the
-/// plan's interleave, then identity-pads the tail in place. The buffer
-/// comes from [`alloc_batch`] zero-initialized, so padding only needs the
-/// diagonal ones — every off-diagonal element of a padding slot (and of
-/// the layout's own padding beyond `slots`) is already the zero the
-/// staged path would have produced. The scatter itself is the
+/// Scatters each request's payload **once**, directly into a fresh
+/// 128-byte-aligned buffer already in the plan's interleave, then
+/// identity-pads the tail in place. The buffer comes from [`alloc_batch`]
+/// zero-initialized, so padding only needs the diagonal ones — every
+/// off-diagonal element of a padding slot (and of the layout's own
+/// padding beyond `slots`) is already zero. The scatter itself is the
 /// lane-blocked [`scatter_batch_affine`], which writes the interleaved
 /// buffer as one sequential stream instead of a strided pass per
 /// request.
-fn pack_group_fused<T: Real>(
+fn pack_group<T: Real>(
     n: usize,
     reqs: &[Pending],
     plan: EnginePlan,
     elems: impl Fn(&Payload) -> &[T],
 ) -> (Layout, AlignedVec<T>, usize) {
-    let slots = slot_count::<T>(reqs, plan);
+    let lanes = plan.lanes::<T>();
+    let slots = reqs.len().div_ceil(lanes) * lanes;
     let layout = plan.layout(n, slots);
     let mut packed = alloc_batch::<T, _>(&layout);
     let mats: Vec<&[T]> = reqs.iter().map(|req| elems(&req.payload)).collect();
@@ -154,88 +118,20 @@ fn pack_group_fused<T: Real>(
     (layout, packed, slots)
 }
 
-/// The legacy reference pack path: stages `reqs` (all dimension `n`,
-/// element type `T`) into a canonical buffer, identity-pads to a full
-/// lane group, and packs into the plan's interleave — one extra full copy
-/// of the batch relative to [`pack_group_fused`]. Staging is
-/// [`AlignedVec`]-backed so even this path hands lane kernels 128-byte-
-/// aligned blocks.
-fn pack_group_staged<T: Real>(
-    n: usize,
-    reqs: &[Pending],
-    plan: EnginePlan,
-    elems: impl Fn(&Payload) -> &[T],
-) -> (Layout, AlignedVec<T>, usize) {
-    let slots = slot_count::<T>(reqs, plan);
-    let canonical = Canonical::new(n, slots);
-    let mut staging = alloc_batch::<T, _>(&canonical);
-    for (mat, req) in reqs.iter().enumerate() {
-        // Canonical with lda == n: matrix `mat` is the contiguous window
-        // starting at its (0, 0) element.
-        let base = canonical.addr(mat, 0, 0);
-        staging[base..base + n * n].copy_from_slice(elems(&req.payload));
-    }
-    for mat in reqs.len()..slots {
-        let base = canonical.addr(mat, 0, 0);
-        for d in 0..n {
-            staging[base + d * n + d] = T::ONE;
-        }
-    }
-    let layout = plan.layout(n, slots);
-    let packed = pack_batch_host(&canonical, staging.as_slice(), &layout);
-    (layout, packed, slots)
-}
-
-fn pack_group<T: Real>(
-    n: usize,
-    reqs: &[Pending],
-    plan: EnginePlan,
-    mode: IngestMode,
-    elems: impl Fn(&Payload) -> &[T],
-) -> (Layout, AlignedVec<T>, usize) {
-    match mode {
-        IngestMode::Fused => pack_group_fused(n, reqs, plan, elems),
-        IngestMode::Staged => pack_group_staged(n, reqs, plan, elems),
-    }
-}
-
-/// Builds a [`FormedBatch`] from one flushed group via the default
-/// (fused, zero-copy) ingest path.
+/// Builds a [`FormedBatch`] from one flushed group: each payload is
+/// scattered once into the plan's interleave and the tail lane group is
+/// identity-padded.
 pub fn form_batch(n: usize, dtype: Dtype, reqs: Vec<Pending>, plan: EnginePlan) -> FormedBatch {
-    form_batch_mode(n, dtype, reqs, plan, IngestMode::Fused)
-}
-
-/// Builds a [`FormedBatch`] via the legacy stage-then-pack reference
-/// path. Bitwise-identical output to [`form_batch`] (property-tested);
-/// exists as the equivalence oracle and bench baseline.
-pub fn form_batch_staged(
-    n: usize,
-    dtype: Dtype,
-    reqs: Vec<Pending>,
-    plan: EnginePlan,
-) -> FormedBatch {
-    form_batch_mode(n, dtype, reqs, plan, IngestMode::Staged)
-}
-
-/// Builds a [`FormedBatch`] from one flushed group with an explicit
-/// [`IngestMode`].
-pub fn form_batch_mode(
-    n: usize,
-    dtype: Dtype,
-    reqs: Vec<Pending>,
-    plan: EnginePlan,
-    mode: IngestMode,
-) -> FormedBatch {
     let (layout, data, slots) = match dtype {
         Dtype::F32 => {
-            let (layout, packed, slots) = pack_group::<f32>(n, &reqs, plan, mode, |p| match p {
+            let (layout, packed, slots) = pack_group::<f32>(n, &reqs, plan, |p| match p {
                 Payload::F32(v) => v.as_slice(),
                 Payload::F64(_) => unreachable!("group mixed dtypes"),
             });
             (layout, PackedData::F32(packed), slots)
         }
         Dtype::F64 => {
-            let (layout, packed, slots) = pack_group::<f64>(n, &reqs, plan, mode, |p| match p {
+            let (layout, packed, slots) = pack_group::<f64>(n, &reqs, plan, |p| match p {
                 Payload::F64(v) => v.as_slice(),
                 Payload::F32(_) => unreachable!("group mixed dtypes"),
             });
@@ -322,9 +218,8 @@ pub fn run_former(
             return;
         }
         let plan = selector.plan(n);
-        let batch = form_batch_mode(n, dtype, live, plan, config.ingest);
+        let batch = form_batch(n, dtype, live, plan);
         stats.record_batch(batch.reqs.len(), batch.slots);
-        stats.record_ingest(config.ingest == IngestMode::Fused);
         if let Err(send_err) = out.send(batch) {
             // Workers are gone (shutdown race): fail the requests rather
             // than dropping them silently.
@@ -437,70 +332,35 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_staged_ingest_are_bitwise_identical() {
-        // The unit-level smoke of the proptest contract: both pack paths
-        // produce the same layout and the same bits, including layout
-        // padding past `slots`.
-        for (n, count) in [(4usize, 1usize), (8, 19), (16, 33), (5, 64)] {
-            let plan = EngineSelector::heuristic().plan(n);
-            let mk = |_| {
-                (0..count)
-                    .map(|i| req(i as u64, n, 0.25 + i as f32))
-                    .collect::<Vec<_>>()
-            };
-            let fused = form_batch_mode(n, Dtype::F32, mk(()), plan, IngestMode::Fused);
-            let staged = form_batch_mode(n, Dtype::F32, mk(()), plan, IngestMode::Staged);
-            assert_eq!(fused.slots, staged.slots, "n={n} count={count}");
-            assert_eq!(fused.layout.kind(), staged.layout.kind());
-            let (a, b) = match (&fused.data, &staged.data) {
-                (PackedData::F32(a), PackedData::F32(b)) => (a, b),
-                _ => unreachable!(),
-            };
-            assert_eq!(a.len(), b.len());
-            for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "n={n} count={count} elem {i}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_buffers_are_128_byte_aligned_both_modes() {
-        // Alignment regression: both ingest modes must hand workers a
-        // buffer whose base sits on a 128-byte boundary so lane blocks
-        // never split cache lines (the staged path used to stage in a
-        // plain `Vec`, which only guarantees element alignment).
+    fn packed_buffers_are_128_byte_aligned() {
+        // Alignment regression: workers must get a buffer whose base sits
+        // on a 128-byte boundary so lane blocks never split cache lines.
         use ibcf_layout::BUFFER_ALIGN;
         let n = 8;
         let plan = EngineSelector::heuristic().plan(n);
-        for mode in [IngestMode::Fused, IngestMode::Staged] {
-            let reqs: Vec<Pending> = (0..21).map(|i| req(i as u64, n, 1.0)).collect();
-            let batch = form_batch_mode(n, Dtype::F32, reqs, plan, mode);
-            let ptr = match &batch.data {
-                PackedData::F32(v) => v.as_slice().as_ptr() as usize,
-                _ => unreachable!(),
-            };
-            assert_eq!(ptr % BUFFER_ALIGN, 0, "{mode:?}");
-            let reqs: Vec<Pending> = (0..3)
-                .map(|i| Pending {
-                    id: i,
-                    n,
-                    payload: Payload::F64(vec![1.0; n * n]),
-                    enqueued: Instant::now(),
-                    deadline: None,
-                    sink: ReplySink::boxed(|_| {}),
-                })
-                .collect();
-            let batch = form_batch_mode(n, Dtype::F64, reqs, plan, mode);
-            let ptr = match &batch.data {
-                PackedData::F64(v) => v.as_slice().as_ptr() as usize,
-                _ => unreachable!(),
-            };
-            assert_eq!(ptr % BUFFER_ALIGN, 0, "{mode:?} f64");
-        }
+        let reqs: Vec<Pending> = (0..21).map(|i| req(i as u64, n, 1.0)).collect();
+        let batch = form_batch(n, Dtype::F32, reqs, plan);
+        let ptr = match &batch.data {
+            PackedData::F32(v) => v.as_slice().as_ptr() as usize,
+            _ => unreachable!(),
+        };
+        assert_eq!(ptr % BUFFER_ALIGN, 0);
+        let reqs: Vec<Pending> = (0..3)
+            .map(|i| Pending {
+                id: i,
+                n,
+                payload: Payload::F64(vec![1.0; n * n]),
+                enqueued: Instant::now(),
+                deadline: None,
+                sink: ReplySink::boxed(|_| {}),
+            })
+            .collect();
+        let batch = form_batch(n, Dtype::F64, reqs, plan);
+        let ptr = match &batch.data {
+            PackedData::F64(v) => v.as_slice().as_ptr() as usize,
+            _ => unreachable!(),
+        };
+        assert_eq!(ptr % BUFFER_ALIGN, 0, "f64");
     }
 
     #[test]
@@ -655,7 +515,6 @@ mod tests {
             max_batch: 1024,                      // size never fires
             max_delay: Duration::from_secs(3600), // age never fires
             deadline_margin: Duration::from_millis(5),
-            ..FormerConfig::default()
         };
         let (q2, s2) = (queue.clone(), stats.clone());
         let handle = std::thread::spawn(move || {

@@ -10,9 +10,7 @@
 //!    group on a size threshold or a deadline, scattering each payload
 //!    **once** directly into a 128-byte-aligned interleaved buffer
 //!    padded in place to a full lane group (the fused zero-copy ingest
-//!    path; the legacy stage-then-pack round trip survives as
-//!    [`IngestMode::Staged`](former::IngestMode) for A/B reference) —
-//!    shedding any request whose own deadline already expired;
+//!    path) — shedding any request whose own deadline already expired;
 //! 3. a supervised worker pool factorizes each batch in place with the
 //!    lane-vectorized engine — explicit AVX2/AVX-512 kernels where the
 //!    CPU has them, autovectorized fallback otherwise — under the
@@ -36,7 +34,7 @@
 //! 7. a [router](router) fronts N shards (in-process or TCP) with
 //!    rendezvous or least-loaded routing keyed by `(n, dtype)`,
 //!    health-checked failover, per-shard circuit breakers, optional
-//!    hedged requests, deterministic shard kills, and typed
+//!    hedged requests, and typed
 //!    [`Backpressure`](request::RejectReason::Backpressure) retry-after
 //!    rejects instead of blocking;
 //! 8. a [fleet supervisor](fleet) pushes isolation to the OS level:
@@ -67,7 +65,7 @@ pub use codec::FrameError;
 pub use engine::{EnginePlan, EngineSelector};
 pub use fault::{FaultAction, FaultHook, FaultPlan, FaultSite};
 pub use fleet::{Fleet, FleetConfig, ProcessShard, SHARD_READY_PREFIX};
-pub use former::{FormerConfig, IngestMode, PackedData};
+pub use former::{FormerConfig, PackedData};
 pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig};
 pub use queue::PushRefused;
 pub use request::{Dtype, FactorReply, Outcome, Payload, RejectReason, ReplySink};

@@ -38,12 +38,12 @@
 //!   blocks the router: the client gets a typed
 //!   [`RejectReason::Backpressure`] carrying a retry-after hint, and is
 //!   expected to resubmit no sooner than the hint (the load generator's
-//!   retry loop honors this);
-//! - the chaos harness kills whole shards deterministically through
-//!   [`FaultSite::RouterShard`](crate::fault::FaultSite) /
-//!   [`FaultAction::KillShard`]: the health loop drains the victim
-//!   (already-admitted work is still answered — exactly-one-reply
-//!   survives shard death) and refuses to kill the last healthy shard.
+//!   retry loop honors this).
+//!
+//! Chaos runs kill shards for real: the `proc-kill` fault plan lets the
+//! [fleet supervisor](crate::fleet) SIGKILL shard processes, and the
+//! router sees only what any client would — dead connections, failed
+//! probes and `ShardLost` replies.
 //!
 //! The [`RouterClient`] implements [`Frontend`], so the TCP server can
 //! front a whole fleet exactly as it fronts one service, and
@@ -54,7 +54,6 @@ use crate::codec::{
     decode_factor_reply, encode_factor_req, read_frame, wire_deadline_us, write_frame,
     K_FACTOR_REPLY, K_FACTOR_REQ, K_LARGE_REQ,
 };
-use crate::fault::{FaultAction, FaultHook, FaultSite};
 use crate::request::{FactorReply, Outcome, Payload, RejectReason, ReplySink};
 use crate::retry::RetryPolicy;
 use crate::server::TcpConn;
@@ -110,7 +109,7 @@ pub trait ShardBackend: Send + Sync {
     /// The shard's own counters.
     fn stats(&self) -> StatsSnapshot;
 
-    /// Stops admission on this shard (the deterministic shard kill).
+    /// Stops admission on this shard (the first step of a drain).
     /// Already-admitted work must still drain to its sinks.
     fn kill(&self);
 
@@ -531,9 +530,6 @@ pub struct RouterConfig {
     /// The retry-after hint handed out when the routed shard's queue is
     /// full. Should cover roughly one former flush cycle.
     pub retry_after_us: u32,
-    /// Fault hook for deterministic shard kills
-    /// ([`FaultSite::RouterShard`]).
-    pub fault: FaultHook,
     /// Consecutive connect/submit/probe failures before a slot's circuit
     /// breaker trips open.
     pub breaker_threshold: u32,
@@ -554,7 +550,6 @@ impl Default for RouterConfig {
             policy: RoutePolicy::ConsistentHash,
             health_interval: Duration::from_millis(10),
             retry_after_us: 1_000,
-            fault: FaultHook::disabled(),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             hedge_after: None,
@@ -697,7 +692,6 @@ impl Breaker {
 struct ShardSlot {
     backend: Arc<dyn ShardBackend>,
     healthy: AtomicBool,
-    killed: AtomicBool,
     /// Requests the router handed this shard.
     routed: AtomicU64,
     /// Rendezvous salt (fixed per slot).
@@ -763,8 +757,6 @@ struct RouterCore {
     backpressured: AtomicU64,
     /// Submissions that had to skip a refusing shard.
     failovers: AtomicU64,
-    /// Shards actually killed by the fault plan.
-    kills: AtomicU64,
     /// Hedge copies dispatched to a second shard.
     hedges: AtomicU64,
     /// Duplicate replies suppressed at a shared sink.
@@ -1038,25 +1030,11 @@ impl RouterCore {
         }
     }
 
-    /// One health round: maybe kill a shard (fault plan), drive breaker
-    /// cooldowns, re-probe every slot whose jittered schedule is due,
-    /// and fire due hedges.
-    fn health_round(self: &Arc<Self>, fault: &FaultHook) {
+    /// One health round: drive breaker cooldowns, re-probe every slot
+    /// whose jittered schedule is due, and fire due hedges.
+    fn health_round(self: &Arc<Self>) {
         let round = self.rounds.fetch_add(1, Ordering::Relaxed);
         for slot in &self.slots {
-            if let Some(FaultAction::KillShard) = fault.check(FaultSite::RouterShard) {
-                let alive = self
-                    .slots
-                    .iter()
-                    .filter(|s| s.healthy.load(Ordering::SeqCst))
-                    .count();
-                // Never take the whole fleet down: the last healthy
-                // shard is immune.
-                if alive > 1 && !slot.killed.swap(true, Ordering::SeqCst) {
-                    slot.backend.kill();
-                    self.kills.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             if slot.breaker.try_half_open(self.breaker_cooldown) {
                 self.breaker_half_opens.fetch_add(1, Ordering::Relaxed);
             }
@@ -1071,7 +1049,7 @@ impl RouterCore {
             if !due {
                 continue;
             }
-            let up = !slot.killed.load(Ordering::SeqCst) && slot.backend.probe();
+            let up = slot.backend.probe();
             if up {
                 if slot.breaker.record_success() {
                     self.breaker_closes.fetch_add(1, Ordering::Relaxed);
@@ -1135,8 +1113,7 @@ pub struct Router {
 
 impl Router {
     /// Starts a router over `shards` with the given config. The health
-    /// thread probes every shard each `health_interval` and drives the
-    /// fault plan's shard kills.
+    /// thread probes every shard each `health_interval`.
     pub fn start(shards: Vec<Arc<dyn ShardBackend>>, cfg: RouterConfig) -> Router {
         assert!(!shards.is_empty(), "router needs at least one shard");
         let slots: Vec<ShardSlot> = shards
@@ -1144,7 +1121,6 @@ impl Router {
             .enumerate()
             .map(|(i, backend)| ShardSlot {
                 healthy: AtomicBool::new(backend.probe()),
-                killed: AtomicBool::new(false),
                 routed: AtomicU64::new(0),
                 salt: slot_salt(i),
                 breaker: Breaker::new(),
@@ -1165,7 +1141,6 @@ impl Router {
             rejected: AtomicU64::new(0),
             backpressured: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
             hedges: AtomicU64::new(0),
             hedge_wasted: AtomicU64::new(0),
             shard_lost_resubmits: AtomicU64::new(0),
@@ -1175,13 +1150,12 @@ impl Router {
         });
         let health = {
             let core = core.clone();
-            let fault = cfg.fault.clone();
             let interval = cfg.health_interval;
             std::thread::Builder::new()
                 .name("ibcf-router-health".into())
                 .spawn(move || {
                     while !core.stop.load(Ordering::SeqCst) {
-                        core.health_round(&fault);
+                        core.health_round();
                         std::thread::sleep(interval);
                     }
                 })
@@ -1199,11 +1173,6 @@ impl Router {
         RouterClient {
             core: self.core.clone(),
         }
-    }
-
-    /// Shards the fault plan killed.
-    pub fn kills(&self) -> u64 {
-        self.core.kills.load(Ordering::Relaxed)
     }
 
     /// Submissions that skipped at least one refusing shard.
@@ -1335,7 +1304,6 @@ impl Frontend for RouterClient {
 mod tests {
     use super::*;
     use crate::engine::EngineSelector;
-    use crate::fault::FaultPlan;
     use crate::service::ServiceConfig;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
@@ -1650,34 +1618,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_kills_shards_but_never_the_last_one() {
-        let f = fakes(2);
-        let cfg = RouterConfig {
-            health_interval: Duration::from_millis(1),
-            fault: FaultHook::from_plan(FaultPlan::shard_kill(99)),
-            ..RouterConfig::default()
-        };
-        let router = Router::start(as_backends(&f), cfg);
-        let client = router.client();
-        // Let the health loop run well past both budgeted kill firings.
-        let t0 = Instant::now();
-        while router.kills() == 0 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            router.kills(),
-            1,
-            "the second budgeted kill must be refused (last healthy shard)"
-        );
-        let alive = f.iter().filter(|b| b.probe()).count();
-        assert_eq!(alive, 1, "exactly one shard must survive");
-        // And the survivor still serves.
-        assert!(call(&client, 1, 4).outcome.is_ok());
-        router.shutdown();
-    }
-
-    #[test]
     fn fleet_stats_merge_shards_and_count_router_rejects() {
         let f = fakes(2);
         let cfg = RouterConfig {
@@ -1707,10 +1647,11 @@ mod tests {
         router.shutdown();
     }
 
-    /// End-to-end over real in-process services: route, kill a shard
-    /// mid-stream, and require every request to get exactly one reply.
+    /// End-to-end over real in-process services: route, stop admission
+    /// on one shard mid-stream, and require every request to get exactly
+    /// one reply.
     #[test]
-    fn in_process_fleet_survives_a_shard_kill_end_to_end() {
+    fn in_process_fleet_survives_a_draining_shard_end_to_end() {
         let shards: Vec<Arc<dyn ShardBackend>> = (0..3)
             .map(|i| {
                 let service = Service::start(
@@ -1744,8 +1685,8 @@ mod tests {
                 ReplySink::boxed(move |r| drop(tx.send(r))),
             );
             if id == total / 2 {
-                // Kill one shard mid-stream, as the chaos plan would.
-                router.core.slots[0].killed.store(true, Ordering::SeqCst);
+                // Stop admission on one shard mid-stream: its admitted
+                // work drains, new traffic fails over.
                 router.core.slots[0].backend.kill();
             }
         }
@@ -1755,7 +1696,7 @@ mod tests {
         assert_eq!(
             ids,
             (0..total).collect::<Vec<_>>(),
-            "exactly one reply per request, even across a shard kill"
+            "exactly one reply per request, even across a draining shard"
         );
         let snap = router.shutdown();
         let shards = snap.shards.expect("fleet snapshot has shard breakdown");

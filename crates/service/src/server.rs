@@ -70,10 +70,7 @@ fn send_one(
             ));
         }
         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(FaultAction::PanicWorker)
-        | Some(FaultAction::KillShard)
-        | Some(FaultAction::KillProcess)
-        | None => {}
+        Some(FaultAction::PanicWorker) | Some(FaultAction::KillProcess) | None => {}
     }
     w.write_all(&frame)
 }

@@ -35,7 +35,7 @@
 use crate::codec::{factor_ok_frame_f32, factor_ok_frame_f64};
 use crate::engine::EngineSelector;
 use crate::fault::{silence_injected_panics, FaultAction, FaultHook, FaultSite};
-use crate::former::{run_former, FormedBatch, FormerConfig, IngestMode, PackedData};
+use crate::former::{run_former, FormedBatch, FormerConfig, PackedData};
 use crate::queue::{IngestQueue, PushRefused};
 use crate::request::{FactorReply, Outcome, Payload, Pending, RejectReason, ReplySink};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -65,10 +65,6 @@ pub struct ServiceConfig {
     /// Fault injection hook ([`FaultHook::disabled`] in production: one
     /// `None` check per site, no other cost).
     pub fault: FaultHook,
-    /// How the former packs flushed groups ([`IngestMode::Fused`] by
-    /// default; [`IngestMode::Staged`] keeps the legacy extra-copy path
-    /// alive for A/B comparison).
-    pub ingest: IngestMode,
     /// Largest admissible dimension for a *large* (task-graph) request.
     /// Kept comfortably under the wire's `MAX_FRAME` so a factored f64
     /// reply still frames.
@@ -89,7 +85,6 @@ impl Default for ServiceConfig {
             max_delay: Duration::from_millis(1),
             max_n: 64,
             fault: FaultHook::disabled(),
-            ingest: IngestMode::Fused,
             max_large_n: 1024,
             large_workers: 1,
             large_nb: 32,
@@ -157,7 +152,6 @@ impl Service {
         let former_cfg = FormerConfig {
             max_batch: config.max_batch,
             max_delay: config.max_delay,
-            ingest: config.ingest,
             ..FormerConfig::default()
         };
         let former = {

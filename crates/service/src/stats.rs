@@ -41,10 +41,6 @@ pub struct ServiceStats {
     pub worker_restarts: AtomicU64,
     /// Requests shed because their deadline expired before packing.
     pub deadline_expired: AtomicU64,
-    /// Batches assembled by the fused (zero-copy scatter) ingest path.
-    pub ingest_fused: AtomicU64,
-    /// Batches assembled by the legacy stage-then-pack ingest path.
-    pub ingest_staged: AtomicU64,
     /// Large-matrix requests admitted to the task-graph pool (a subset
     /// of `requests`).
     pub large_requests: AtomicU64,
@@ -70,8 +66,6 @@ impl Default for ServiceStats {
             worker_crashes: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            ingest_fused: AtomicU64::new(0),
-            ingest_staged: AtomicU64::new(0),
             large_requests: AtomicU64::new(0),
             large_ok: AtomicU64::new(0),
             large_failed: AtomicU64::new(0),
@@ -97,15 +91,6 @@ impl ServiceStats {
         self.occupancy[bucket].fetch_add(1, Ordering::Relaxed);
         self.occupancy_sum_milli
             .fetch_add((frac * 1000.0) as u64, Ordering::Relaxed);
-    }
-
-    /// Records which ingest path assembled one batch.
-    pub fn record_ingest(&self, fused: bool) {
-        if fused {
-            self.ingest_fused.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ingest_staged.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Records one reply's enqueue-to-reply latency.
@@ -144,8 +129,6 @@ impl ServiceStats {
             worker_crashes: self.worker_crashes.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            ingest_fused: self.ingest_fused.load(Ordering::Relaxed),
-            ingest_staged: self.ingest_staged.load(Ordering::Relaxed),
             large_requests: self.large_requests.load(Ordering::Relaxed),
             large_ok: self.large_ok.load(Ordering::Relaxed),
             large_failed: self.large_failed.load(Ordering::Relaxed),
@@ -180,10 +163,6 @@ pub struct StatsSnapshot {
     pub worker_restarts: u64,
     /// Requests shed on an expired deadline before packing.
     pub deadline_expired: u64,
-    /// Batches assembled by the fused (zero-copy scatter) ingest path.
-    pub ingest_fused: u64,
-    /// Batches assembled by the legacy stage-then-pack ingest path.
-    pub ingest_staged: u64,
     /// Large-matrix requests admitted to the task-graph pool (a subset
     /// of `requests`).
     pub large_requests: u64,
@@ -340,8 +319,6 @@ impl StatsSnapshot {
             worker_crashes: self.worker_crashes + other.worker_crashes,
             worker_restarts: self.worker_restarts + other.worker_restarts,
             deadline_expired: self.deadline_expired + other.deadline_expired,
-            ingest_fused: self.ingest_fused + other.ingest_fused,
-            ingest_staged: self.ingest_staged + other.ingest_staged,
             large_requests: self.large_requests + other.large_requests,
             large_ok: self.large_ok + other.large_ok,
             large_failed: self.large_failed + other.large_failed,

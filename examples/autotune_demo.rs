@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example autotune_demo`
 
-use ibcf::autotune::heuristics::hill_climb;
+use ibcf::autotune::{run_search, HillSelector};
+use ibcf::gpu::TraceCache;
 use ibcf::prelude::*;
 
 fn main() {
@@ -49,13 +50,25 @@ fn main() {
 
     // Guided search: how close, how much cheaper?
     println!("\nhill climbing vs exhaustive (the paper's 'selection bias' trade-off):");
+    let opts = SweepOptions {
+        batch,
+        ..Default::default()
+    };
+    let cache = TraceCache::default();
     for &n in &[24usize, 48] {
         let exhaustive = table.best(n).unwrap().gflops;
-        let result = hill_climb(&space, n, batch, &spec, 6, 1234);
+        let result = run_search(
+            &mut HillSelector::new(6, 1234),
+            &space,
+            n,
+            &spec,
+            &opts,
+            &cache,
+        );
         println!(
             "  n={n}: guided {:.0} GFLOP/s in {} evals vs exhaustive {:.0} in {} ({:.1}% of optimum)",
             result.best.gflops,
-            result.evaluations,
+            result.evaluated,
             exhaustive,
             space.len_per_n(),
             100.0 * result.best.gflops / exhaustive

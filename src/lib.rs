@@ -47,8 +47,8 @@ pub use ibcf_layout as layout;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use ibcf_autotune::{
-        sweep, sweep_sizes, BestTable, Dataset, Measurement, ParamSpace, SweepOptions,
-        TunedDispatch,
+        sweep, sweep_sizes, BestTable, Dataset, DispatchTable, Measurement, ParamSpace,
+        SweepOptions,
     };
     pub use ibcf_core::flops::{batch_gflops, cholesky_flops_std};
     pub use ibcf_core::host_batch::{factorize_batch, factorize_batch_seq};

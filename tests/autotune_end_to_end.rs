@@ -6,8 +6,9 @@ use ibcf_bench_shim::*;
 
 /// Re-exports used below; keeps the test readable.
 mod ibcf_bench_shim {
-    pub use ibcf::autotune::heuristics::hill_climb;
+    pub use ibcf::autotune::{run_search, HillSelector};
     pub use ibcf::forest::r2;
+    pub use ibcf::gpu::TraceCache;
 }
 
 #[test]
@@ -107,7 +108,18 @@ fn guided_search_is_consistent_with_exhaustive() {
         .best_where(n, |m| !m.config.fast_math)
         .unwrap()
         .gflops;
-    let guided = hill_climb(&space, n, batch, &spec, 5, 42);
+    let opts = SweepOptions {
+        batch,
+        ..Default::default()
+    };
+    let guided = run_search(
+        &mut HillSelector::new(5, 42),
+        &space,
+        n,
+        &spec,
+        &opts,
+        &TraceCache::default(),
+    );
     assert!(
         guided.best.gflops <= best * 1.0000001,
         "guided exceeded exhaustive grid"
