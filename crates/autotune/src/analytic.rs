@@ -16,7 +16,7 @@
 
 use crate::space::ParamSpace;
 use ibcf_core::Looking;
-use ibcf_gpu_sim::{occupancy, GpuSpec};
+use ibcf_gpu_sim::{occupancy, GpuSpec, KernelStatics};
 use ibcf_kernels::codesize::{self, TileOp};
 use ibcf_kernels::tileops::LOOP_OVERHEAD_IOPS;
 use ibcf_kernels::{KernelConfig, Unroll};
@@ -81,6 +81,29 @@ fn op_profile(n: usize, nb: usize, looking: Looking) -> OpProfile {
     p
 }
 
+/// The axes a configuration's op walk and static resources depend on:
+/// `(n, nb_eff, looking, unroll)`. Layout, fast math and cache preference
+/// only enter the closed forms, so the paper space has 48 shapes per
+/// size against 1,920 configurations.
+type ShapeKey = (usize, usize, Looking, Unroll);
+
+/// Everything a score needs from a configuration's shape: the dynamic op
+/// mix and the static resource estimates. Both walk the whole tile-op
+/// DAG (partial unrolling also dedups every op body), so a ranking
+/// computes them once per shape rather than once per configuration.
+#[derive(Debug, Clone, Copy)]
+struct ShapeCost {
+    profile: OpProfile,
+    statics: KernelStatics,
+}
+
+fn shape_cost(config: &KernelConfig) -> ShapeCost {
+    ShapeCost {
+        profile: op_profile(config.n, config.nb_eff(), config.looking),
+        statics: codesize::statics(config),
+    }
+}
+
 /// One analytically scored configuration: the modeled kernel time and
 /// the per-pipeline breakdown it decomposes into.
 #[derive(Debug, Clone, Copy)]
@@ -103,13 +126,13 @@ fn tri(n: usize) -> u64 {
     (n * (n + 1) / 2) as u64
 }
 
-fn score_with_profile(
+fn score_shape(
     config: &KernelConfig,
     batch: usize,
     spec: &GpuSpec,
-    p: &OpProfile,
+    shape: &ShapeCost,
 ) -> AnalyticScore {
-    let statics = codesize::statics(config);
+    let (p, statics) = (&shape.profile, &shape.statics);
     let launch = config.launch(batch);
     let warps_total = (launch.total_threads() / spec.warp_size as usize) as f64;
 
@@ -224,34 +247,29 @@ fn score_with_profile(
 
 /// Scores one configuration analytically (no tracing).
 pub fn score_config(config: &KernelConfig, batch: usize, spec: &GpuSpec) -> AnalyticScore {
-    let p = op_profile(config.n, config.nb_eff(), config.looking);
-    score_with_profile(config, batch, spec, &p)
+    score_shape(config, batch, spec, &shape_cost(config))
 }
 
 /// Scores every configuration of `space` at dimension `n` and returns
 /// them ranked by modeled time, fastest first. Ties break toward the
-/// canonical enumeration order, so the ranking is deterministic.
+/// canonical enumeration order, so the ranking is deterministic. Each
+/// shape's op walk and static resources are computed once and shared by
+/// every configuration of that shape.
 pub fn rank_candidates(
     space: &ParamSpace,
     n: usize,
     batch: usize,
     spec: &GpuSpec,
 ) -> Vec<AnalyticScore> {
-    let mut profiles: HashMap<(usize, u8), OpProfile> = HashMap::new();
-    let looking_tag = |l: Looking| match l {
-        Looking::Right => 0u8,
-        Looking::Left => 1,
-        Looking::Top => 2,
-    };
+    let mut shapes: HashMap<ShapeKey, ShapeCost> = HashMap::new();
     let mut scored: Vec<AnalyticScore> = space
         .configs(n)
         .iter()
         .map(|config| {
-            let key = (config.nb_eff(), looking_tag(config.looking));
-            let p = *profiles
-                .entry(key)
-                .or_insert_with(|| op_profile(n, key.0, config.looking));
-            score_with_profile(config, batch, spec, &p)
+            let shape = shapes
+                .entry((config.n, config.nb_eff(), config.looking, config.unroll))
+                .or_insert_with(|| shape_cost(config));
+            score_shape(config, batch, spec, shape)
         })
         .collect();
     scored.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
@@ -341,6 +359,32 @@ mod tests {
                 top_q_best <= 1.10 * best_t,
                 "n={n}: model top quarter best {top_q_best} vs global best {best_t}"
             );
+        }
+    }
+
+    #[test]
+    fn shared_shape_costs_rank_bit_identically_to_per_config_scores() {
+        let space = ParamSpace::paper();
+        let batch = 16_384;
+        for spec in GpuSpec::presets() {
+            let name = &spec.name;
+            for n in ParamSpace::paper_sizes() {
+                let ranked = rank_candidates(&space, n, batch, &spec);
+                let mut reference: Vec<AnalyticScore> = space
+                    .configs(n)
+                    .iter()
+                    .map(|c| score_config(c, batch, &spec))
+                    .collect();
+                reference.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
+                assert_eq!(ranked.len(), reference.len());
+                for (i, (a, b)) in ranked.iter().zip(&reference).enumerate() {
+                    let bits = |s: &AnalyticScore| {
+                        [s.time_s, s.compute_s, s.lsu_s, s.dram_s, s.occupancy].map(f64::to_bits)
+                    };
+                    assert_eq!(a.config, b.config, "{name} n={n} rank {i}");
+                    assert_eq!(bits(a), bits(b), "{name} n={n} rank {i}: {}", a.config);
+                }
+            }
         }
     }
 

@@ -53,11 +53,17 @@ impl Default for SweepOptions {
     }
 }
 
-/// Receives sweep progress callbacks (every `progress_every` completed
-/// configurations). Implementations must be `Sync`: the sweep calls them
-/// from parallel workers.
+/// Receives progress callbacks from sweeps and selector searches.
+/// Implementations must be `Sync`: both call them from parallel workers.
 pub trait ProgressSink: Sync {
-    /// `done` of `total` configurations have been measured.
+    /// `done` of `total` units of work have completed.
+    ///
+    /// Calls may arrive from worker threads, concurrently and not
+    /// necessarily in increasing `done` order. An exhaustive sweep counts
+    /// measured configurations and calls every `progress_every` of them;
+    /// a guided search ([`crate::run_sizes`] with any other selector)
+    /// counts completed sizes and calls once per size, so its `done`
+    /// says how many sizes finished, not which.
     fn on_progress(&self, done: usize, total: usize);
 }
 
@@ -336,6 +342,75 @@ impl LoggedSweepReport {
     }
 }
 
+/// A sweep log opened for appending, with what it already holds.
+pub(crate) struct OpenedLog {
+    /// Appends to the log (header already written).
+    pub writer: SweepLogWriter,
+    /// Measurements already in the log, by canonical grid `seq`.
+    pub done: BTreeMap<usize, Measurement>,
+    /// `Some(reason)` if a torn final line was dropped (and cut off).
+    pub dropped_tail: Option<String>,
+}
+
+/// Creates the log at `log_path`, or reopens an existing one after
+/// checking it describes the same sweep (GPU, batch, sizes, space, noise,
+/// shard) and cutting off a torn final line.
+pub(crate) fn open_log(
+    space: &ParamSpace,
+    sizes: &[usize],
+    spec: &GpuSpec,
+    opts: &SweepOptions,
+    log_path: &Path,
+    shard: ShardSpec,
+) -> std::io::Result<OpenedLog> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let header = SweepLogHeader {
+        format: LOG_FORMAT.into(),
+        version: LOG_VERSION,
+        gpu: spec.name.clone(),
+        batch: opts.batch,
+        sizes: sizes.to_vec(),
+        space: space.clone(),
+        noise_sigma: opts.noise_sigma,
+        noise_seed: opts.noise_seed,
+        shard,
+        total: sizes.len() * space.len_per_n(),
+    };
+    if !log_path.exists() {
+        return Ok(OpenedLog {
+            writer: SweepLogWriter::create(log_path, &header, opts.log_fsync)?,
+            done: BTreeMap::new(),
+            dropped_tail: None,
+        });
+    }
+    let log = SweepLog::read(log_path, true)?;
+    header.compatible_with(&log.header).map_err(|e| {
+        invalid(format!(
+            "{}: log belongs to a different sweep: {e}",
+            log_path.display()
+        ))
+    })?;
+    if log.header.shard != shard {
+        return Err(invalid(format!(
+            "{}: log covers shard {}, this run wants {shard}",
+            log_path.display(),
+            log.header.shard
+        )));
+    }
+    if log.dropped_tail.is_some() {
+        // Cut the torn fragment off before appending, or the next
+        // line would be glued to it and corrupt the log mid-file.
+        let f = std::fs::OpenOptions::new().write(true).open(log_path)?;
+        f.set_len(log.valid_len)?;
+        f.sync_data()?;
+    }
+    Ok(OpenedLog {
+        writer: SweepLogWriter::open_append(log_path, opts.log_fsync)?,
+        done: log.entries.into_iter().map(|e| (e.seq, e.m)).collect(),
+        dropped_tail: log.dropped_tail,
+    })
+}
+
 /// [`sweep_sizes_with`] made crash-safe and resumable: every completed
 /// measurement is appended (fsync'd, self-validating) to the log at
 /// `log_path` the moment it finishes.
@@ -360,52 +435,12 @@ pub fn sweep_sizes_logged(
     log_path: &Path,
     shard: ShardSpec,
 ) -> std::io::Result<LoggedSweepReport> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let grid = grid_configs(space, sizes);
-    let header = SweepLogHeader {
-        format: LOG_FORMAT.into(),
-        version: LOG_VERSION,
-        gpu: spec.name.clone(),
-        batch: opts.batch,
-        sizes: sizes.to_vec(),
-        space: space.clone(),
-        noise_sigma: opts.noise_sigma,
-        noise_seed: opts.noise_seed,
-        shard,
-        total: grid.len(),
-    };
-    let mut done: BTreeMap<usize, Measurement> = BTreeMap::new();
-    let mut dropped_tail = None;
-    let writer = if log_path.exists() {
-        let log = SweepLog::read(log_path, true)?;
-        header.compatible_with(&log.header).map_err(|e| {
-            invalid(format!(
-                "{}: log belongs to a different sweep: {e}",
-                log_path.display()
-            ))
-        })?;
-        if log.header.shard != shard {
-            return Err(invalid(format!(
-                "{}: log covers shard {}, this run wants {shard}",
-                log_path.display(),
-                log.header.shard
-            )));
-        }
-        dropped_tail = log.dropped_tail.clone();
-        if dropped_tail.is_some() {
-            // Cut the torn fragment off before appending, or the next
-            // line would be glued to it and corrupt the log mid-file.
-            let f = std::fs::OpenOptions::new().write(true).open(log_path)?;
-            f.set_len(log.valid_len)?;
-            f.sync_data()?;
-        }
-        for e in log.entries {
-            done.insert(e.seq, e.m);
-        }
-        SweepLogWriter::open_append(log_path, opts.log_fsync)?
-    } else {
-        SweepLogWriter::create(log_path, &header, opts.log_fsync)?
-    };
+    let OpenedLog {
+        writer,
+        mut done,
+        dropped_tail,
+    } = open_log(space, sizes, spec, opts, log_path, shard)?;
     let resumed = done.len();
     let todo: Vec<usize> = (0..grid.len())
         .filter(|&s| shard.owns(s) && !done.contains_key(&s))

@@ -19,11 +19,11 @@
 use crate::analytic;
 use crate::dispatch::{DispatchTable, TableProvenance};
 use crate::heuristics::{heuristic_config, neighbors};
-use crate::log::{grid_configs, ShardSpec, SweepLog, SweepLogHeader, SweepLogWriter};
-use crate::log::{LOG_FORMAT, LOG_VERSION};
+use crate::log::{ShardSpec, SweepLogWriter};
 use crate::record::{Dataset, Measurement};
 use crate::runner::{
-    measure_opts, sweep_sizes_logged, sweep_sizes_with, ProgressSink, SweepOptions,
+    measure_opts, open_log, sweep_sizes_logged, sweep_sizes_with, OpenedLog, ProgressSink,
+    SweepOptions,
 };
 use crate::space::ParamSpace;
 use ibcf_gpu_sim::{CacheStats, GpuSpec, TraceCache};
@@ -32,6 +32,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The fixed context of one search: where (space, size) and on what
@@ -539,7 +541,7 @@ fn drive(
     ctx: &SelectCtx<'_>,
     opts: &SweepOptions,
     cache: &TraceCache<PlanKey>,
-    mut log: Option<&mut SweepLogWriter>,
+    log: Option<&Mutex<SweepLogWriter>>,
     seq_base: usize,
     resumed: &BTreeMap<usize, Measurement>,
 ) -> std::io::Result<SizeOutcome> {
@@ -580,8 +582,10 @@ fn drive(
             None => {
                 let m = measure_opts(&cand.config, ctx.spec, opts, cache);
                 measured_fresh += 1;
-                if let (Some(w), Some(i)) = (log.as_deref_mut(), idx) {
-                    w.append(seq_base + i, &m)?;
+                if let (Some(w), Some(i)) = (log, idx) {
+                    w.lock()
+                        .expect("log writer lock")
+                        .append(seq_base + i, &m)?;
                 }
                 m
             }
@@ -654,9 +658,55 @@ fn outcomes_from_dataset(ds: &Dataset, space: &ParamSpace) -> Vec<SizeOutcome> {
         .collect()
 }
 
+/// Runs `search(i, sizes[i])` for every size on `available_parallelism`
+/// scoped workers and returns the results in input order.
+///
+/// Per-size searches are independent: each builds its own selector, and
+/// [`PlanKey`] contains `n`, so a shared [`TraceCache`] never serves one
+/// size's plan to another and the results equal a sequential loop's.
+/// Workers claim sizes from an atomic cursor, largest `n` first, because
+/// a search's cost grows with `n`; when progress is on, `sink` hears the
+/// number of completed sizes after each one.
+fn for_each_size<T: Send>(
+    sizes: &[usize],
+    opts: &SweepOptions,
+    sink: &dyn ProgressSink,
+    search: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<T> {
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(sizes.len());
+    let (cursor, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        mine.push((i, search(i, sizes[i])));
+                        let k = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if opts.progress_every > 0 {
+                            sink.on_progress(k, sizes.len());
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("size search panicked"))
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Runs `kind` across `sizes`, sharing one plan cache. The exhaustive
-/// strategy takes the parallel sweep fast path; everything else runs the
-/// sequential driver per size.
+/// strategy takes the parallel sweep fast path; every other strategy runs
+/// the per-size driver, one size per worker ([`for_each_size`]).
 pub fn run_sizes(
     kind: SelectorKind,
     space: &ParamSpace,
@@ -678,26 +728,59 @@ pub fn run_sizes(
             dropped_tail: None,
         };
     }
+    guided_sizes(kind, space, sizes, spec, opts, sink, None, &BTreeMap::new())
+        .expect("un-logged search cannot fail on IO")
+}
+
+/// The non-exhaustive half of [`run_sizes`] and [`run_sizes_logged`]: one
+/// fresh selector per size through [`drive`], sizes spread over workers by
+/// [`for_each_size`], one plan cache shared by all of them.
+#[allow(clippy::too_many_arguments)]
+fn guided_sizes(
+    kind: SelectorKind,
+    space: &ParamSpace,
+    sizes: &[usize],
+    spec: &GpuSpec,
+    opts: &SweepOptions,
+    sink: &dyn ProgressSink,
+    log: Option<&Mutex<SweepLogWriter>>,
+    resumed: &BTreeMap<usize, Measurement>,
+) -> std::io::Result<SelectionReport> {
     let cache: TraceCache<PlanKey> = TraceCache::default();
     let start = Instant::now();
-    let mut outcomes = Vec::with_capacity(sizes.len());
-    for (i, &n) in sizes.iter().enumerate() {
-        let mut selector = kind.build(opts);
-        outcomes.push(run_search(selector.as_mut(), space, n, spec, opts, &cache));
-        if opts.progress_every > 0 {
-            sink.on_progress(i + 1, sizes.len());
-        }
-    }
-    SelectionReport {
+    let outcomes = for_each_size(sizes, opts, sink, |i, n| {
+        let ctx = SelectCtx {
+            space,
+            n,
+            batch: opts.batch,
+            spec,
+        };
+        let seq_base = i * space.len_per_n();
+        drive(
+            kind.build(opts).as_mut(),
+            &ctx,
+            opts,
+            &cache,
+            log,
+            seq_base,
+            resumed,
+        )
+    })
+    .into_iter()
+    .collect::<std::io::Result<Vec<SizeOutcome>>>()?;
+    Ok(SelectionReport {
         selector: kind.name().into(),
         gpu: spec.name.clone(),
         batch: opts.batch,
+        resumed: outcomes
+            .iter()
+            .map(|o| o.evaluated - o.measured_fresh)
+            .sum(),
         outcomes,
         cache: cache.stats(),
         wall_s: start.elapsed().as_secs_f64(),
-        resumed: 0,
         dropped_tail: None,
-    }
+    })
 }
 
 /// [`run_sizes`] made crash-safe on the same CRC-framed log format as the
@@ -720,7 +803,6 @@ pub fn run_sizes_logged(
     log_path: &Path,
     shard: ShardSpec,
 ) -> std::io::Result<SelectionReport> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     if kind == SelectorKind::Exhaustive {
         let logged = sweep_sizes_logged(space, sizes, spec, opts, sink, log_path, shard)?;
         return Ok(SelectionReport {
@@ -735,91 +817,26 @@ pub fn run_sizes_logged(
         });
     }
     if shard != ShardSpec::whole() {
-        return Err(invalid(format!(
-            "selector {} does not shard; use --selector exhaustive for sharded sweeps",
-            kind.name()
-        )));
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "selector {} does not shard; use --selector exhaustive for sharded sweeps",
+                kind.name()
+            ),
+        ));
     }
-    let grid = grid_configs(space, sizes);
-    let header = SweepLogHeader {
-        format: LOG_FORMAT.into(),
-        version: LOG_VERSION,
-        gpu: spec.name.clone(),
-        batch: opts.batch,
-        sizes: sizes.to_vec(),
-        space: space.clone(),
-        noise_sigma: opts.noise_sigma,
-        noise_seed: opts.noise_seed,
-        shard,
-        total: grid.len(),
-    };
-    let mut resumed_map: BTreeMap<usize, Measurement> = BTreeMap::new();
-    let mut dropped_tail = None;
-    let mut writer = if log_path.exists() {
-        let log = SweepLog::read(log_path, true)?;
-        header.compatible_with(&log.header).map_err(|e| {
-            invalid(format!(
-                "{}: log belongs to a different sweep: {e}",
-                log_path.display()
-            ))
-        })?;
-        if log.header.shard != ShardSpec::whole() {
-            return Err(invalid(format!(
-                "{}: log covers shard {}, guided search owns the whole grid",
-                log_path.display(),
-                log.header.shard
-            )));
-        }
-        dropped_tail = log.dropped_tail.clone();
-        if dropped_tail.is_some() {
-            let f = std::fs::OpenOptions::new().write(true).open(log_path)?;
-            f.set_len(log.valid_len)?;
-            f.sync_data()?;
-        }
-        for e in log.entries {
-            resumed_map.insert(e.seq, e.m);
-        }
-        SweepLogWriter::open_append(log_path, opts.log_fsync)?
-    } else {
-        SweepLogWriter::create(log_path, &header, opts.log_fsync)?
-    };
-    let cache: TraceCache<PlanKey> = TraceCache::default();
-    let start = Instant::now();
-    let mut outcomes = Vec::with_capacity(sizes.len());
-    let mut resumed_used = 0usize;
-    for (i, &n) in sizes.iter().enumerate() {
-        let seq_base = i * space.len_per_n();
-        let mut selector = kind.build(opts);
-        let ctx = SelectCtx {
-            space,
-            n,
-            batch: opts.batch,
-            spec,
-        };
-        let outcome = drive(
-            selector.as_mut(),
-            &ctx,
-            opts,
-            &cache,
-            Some(&mut writer),
-            seq_base,
-            &resumed_map,
-        )?;
-        resumed_used += outcome.evaluated - outcome.measured_fresh;
-        outcomes.push(outcome);
-        if opts.progress_every > 0 {
-            sink.on_progress(i + 1, sizes.len());
-        }
-    }
-    Ok(SelectionReport {
-        selector: kind.name().into(),
-        gpu: spec.name.clone(),
-        batch: opts.batch,
-        outcomes,
-        cache: cache.stats(),
-        wall_s: start.elapsed().as_secs_f64(),
-        resumed: resumed_used,
+    let OpenedLog {
+        writer,
+        done,
         dropped_tail,
+    } = open_log(space, sizes, spec, opts, log_path, shard)?;
+    // Each append is one framed line under the lock, so concurrent sizes
+    // interleave whole lines and a crash still tears at most the last one.
+    let writer = Mutex::new(writer);
+    let report = guided_sizes(kind, space, sizes, spec, opts, sink, Some(&writer), &done)?;
+    Ok(SelectionReport {
+        dropped_tail,
+        ..report
     })
 }
 
@@ -827,6 +844,7 @@ pub fn run_sizes_logged(
 mod tests {
     use super::*;
     use crate::best::BestTable;
+    use crate::log::SweepLog;
     use crate::runner::{sweep, SilentProgress};
 
     fn p100_opts(batch: usize) -> SweepOptions {
@@ -952,6 +970,131 @@ mod tests {
         // The flattened dataset carries every evaluation.
         let ds = report.dataset(&space);
         assert_eq!(ds.measurements.len(), report.evaluated());
+    }
+
+    /// Records every `done` a search reports.
+    #[derive(Default)]
+    struct Recorded(Mutex<Vec<usize>>);
+
+    impl ProgressSink for Recorded {
+        fn on_progress(&self, done: usize, _total: usize) {
+            self.0.lock().unwrap().push(done);
+        }
+    }
+
+    #[test]
+    fn parallel_sizes_match_a_sequential_loop_of_run_search() {
+        let space = ParamSpace::quick();
+        let spec = GpuSpec::p100();
+        let opts = SweepOptions {
+            progress_every: 1,
+            ..p100_opts(2048)
+        };
+        let sizes = [16usize, 8, 40, 24, 32];
+        for kind in [
+            SelectorKind::Analytic,
+            SelectorKind::Hill,
+            SelectorKind::Heuristic,
+        ] {
+            let progress = Recorded::default();
+            let par = run_sizes(kind, &space, &sizes, &spec, &opts, &progress);
+            let cache = TraceCache::default();
+            let seq: Vec<SizeOutcome> = sizes
+                .iter()
+                .map(|&n| run_search(kind.build(&opts).as_mut(), &space, n, &spec, &opts, &cache))
+                .collect();
+            let name = kind.name();
+            assert_eq!(par.outcomes.len(), seq.len(), "{name}");
+            for (p, q) in par.outcomes.iter().zip(&seq) {
+                assert_eq!(p.n, q.n, "{name}: outcomes out of input order");
+                assert_eq!(p.best, q.best, "{name} n={}", p.n);
+                assert_eq!(p.evaluated, q.evaluated, "{name} n={}", p.n);
+                let configs =
+                    |o: &SizeOutcome| o.history.iter().map(|e| e.m.config).collect::<Vec<_>>();
+                assert_eq!(configs(p), configs(q), "{name} n={}", p.n);
+            }
+            let stats = cache.stats();
+            assert_eq!(par.cache.misses, stats.misses, "{name}");
+            assert_eq!(par.cache.hits, stats.hits, "{name}");
+            // One call per completed size, counting up to the total.
+            let mut done = progress.0.into_inner().unwrap();
+            done.sort_unstable();
+            assert_eq!(done, (1..=sizes.len()).collect::<Vec<_>>(), "{name}");
+        }
+    }
+
+    #[test]
+    fn parallel_logged_search_resumes_from_a_torn_tail_to_the_same_report() {
+        let dir = std::env::temp_dir().join(format!("ibcf-select-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (full_log, cut_log) = (dir.join("full.log"), dir.join("cut.log"));
+        for p in [&full_log, &cut_log] {
+            std::fs::remove_file(p).ok();
+        }
+        let space = ParamSpace::quick();
+        let spec = GpuSpec::p100();
+        let opts = p100_opts(2048);
+        let sizes = [8usize, 16, 24, 32];
+        let run = |log: &Path| {
+            run_sizes_logged(
+                SelectorKind::Analytic,
+                &space,
+                &sizes,
+                &spec,
+                &opts,
+                &SilentProgress,
+                log,
+                ShardSpec::whole(),
+            )
+            .unwrap()
+        };
+        let full = run(&full_log);
+        assert_eq!(full.resumed, 0);
+
+        // Keep the header and the first lines the workers appended, then
+        // half of the next line: the tail a crash mid-append leaves.
+        let text = std::fs::read_to_string(&full_log).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let kept = 1 + full.evaluated() / 2;
+        let torn = &lines[kept][..lines[kept].len() / 2];
+        std::fs::write(&cut_log, format!("{}\n{torn}", lines[..kept].join("\n"))).unwrap();
+
+        let resumed = run(&cut_log);
+        assert!(resumed.dropped_tail.is_some());
+        assert_eq!(resumed.resumed, kept - 1);
+        assert_eq!(resumed.outcomes.len(), full.outcomes.len());
+        for (r, f) in resumed.outcomes.iter().zip(&full.outcomes) {
+            assert_eq!(r.n, f.n);
+            assert_eq!(r.best, f.best, "n={}", r.n);
+            assert_eq!(r.evaluated, f.evaluated, "n={}", r.n);
+            assert_eq!(r.stopped_early, f.stopped_early, "n={}", r.n);
+            assert_eq!(r.regret_bound, f.regret_bound, "n={}", r.n);
+            let ms = |o: &SizeOutcome| o.history.iter().map(|e| e.m.clone()).collect::<Vec<_>>();
+            assert_eq!(ms(r), ms(f), "n={}", r.n);
+        }
+        assert_eq!(
+            format!("{:?}", resumed.dispatch_table()),
+            format!("{:?}", full.dispatch_table())
+        );
+        assert_eq!(
+            resumed.dataset(&space).measurements,
+            full.dataset(&space).measurements
+        );
+
+        // What `ibcf verify-log --strict` reads: no torn tail, no
+        // duplicates, exactly the uninterrupted run's measurements.
+        let log = SweepLog::read(&cut_log, false).unwrap();
+        assert!(log.dropped_tail.is_none());
+        assert_eq!(log.duplicates, 0);
+        assert_eq!(log.entries.len(), full.evaluated());
+        assert_eq!(
+            log.dataset().measurements,
+            SweepLog::read(&full_log, false)
+                .unwrap()
+                .dataset()
+                .measurements
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -145,7 +145,8 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Completed (non-rejected) replies per second.
     pub throughput: f64,
-    /// Client-measured send-to-reply latency percentiles, microseconds.
+    /// Client-measured latency percentiles, microseconds: from the send
+    /// (closed loop) or the scheduled departure (open loop) to the reply.
     pub p50_us: f64,
     /// 95th percentile latency, microseconds.
     pub p95_us: f64,
@@ -583,6 +584,10 @@ fn run_conn(
                     }
                 }
                 ArrivalMode::Open { .. } => {
+                    // Latency runs from the due time, not the actual send:
+                    // a sender running late (a blocked socket, a slow
+                    // encode) delays every later departure, and that wait
+                    // belongs to the requests it delays.
                     let due = start + Duration::from_secs_f64(next_idx as f64 / per_conn_rate);
                     let now = Instant::now();
                     if due > now {
@@ -594,7 +599,7 @@ fn run_conn(
                         None
                     } else {
                         s.outstanding += 1;
-                        s.sent_at.insert(r, Instant::now());
+                        s.sent_at.insert(r, due);
                         Some(())
                     }
                 }
@@ -833,6 +838,59 @@ mod tests {
                 assert!(min_gap >= total / plant / 2, "gap {min_gap}");
             }
         }
+    }
+
+    #[test]
+    fn open_loop_latency_includes_the_senders_lag() {
+        use crate::codec::{decode_factor_req, reply_frame};
+        use crate::request::FactorReply;
+        // The server reads nothing for STALL, so the socket buffers fill
+        // and the sender blocks long past the due times of the later
+        // requests (the whole schedule lasts 48 µs). Then it rejects
+        // every request the moment it reads it. Stamped at the actual
+        // send, the last requests would report almost no latency; stamped
+        // at their due time, every one waited out the stall.
+        const STALL: Duration = Duration::from_millis(200);
+        let (n, requests) = (256usize, 48u64); // 512 KiB payloads, 24 MiB in all
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            std::thread::sleep(STALL);
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            while let Ok(Some((K_FACTOR_REQ, body))) = read_frame(&mut reader) {
+                let (id, ..) = decode_factor_req(&body).unwrap();
+                let reply = FactorReply {
+                    id,
+                    outcome: Outcome::Rejected(RejectReason::QueueFull),
+                };
+                writer.write_all(&reply_frame(&reply, Dtype::F64)).unwrap();
+            }
+        });
+        let rate = 1e6;
+        let cfg = LoadgenConfig {
+            addr: addr.clone(),
+            sizes: vec![n],
+            dtype: Dtype::F64,
+            requests,
+            conns: 1,
+            mode: ArrivalMode::Open { rate },
+            ..Default::default()
+        };
+        let pool = PayloadPool {
+            good: HashMap::from([(n, vec![Payload::F64(vec![0.0; n * n]); POOL_PER_SIZE])]),
+            bad: HashMap::new(),
+        };
+        let tally = run_conn(&addr, (0..requests).collect(), &cfg, &pool, rate).unwrap();
+        server.join().unwrap();
+        assert_eq!(tally.rejected, requests);
+        assert_eq!(tally.latencies_ns.len(), requests as usize);
+        let min = Duration::from_nanos(*tally.latencies_ns.iter().min().unwrap());
+        assert!(
+            min >= STALL - Duration::from_millis(1),
+            "a request reported {min:?}, less than the {STALL:?} it waited"
+        );
     }
 
     #[test]
